@@ -198,6 +198,14 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("repro.eval.sampled", "repro.eval.filters", "repro.models.base"),
             "benchmarks/bench_sampled_eval.py",
         ),
+        Experiment(
+            "X11",
+            "Extension: span-tracing overhead on the update() hot loop",
+            "update() throughput with tracing off / on / on + update spans, "
+            "interleaved passes; tracing-on must stay within 3% of off",
+            ("repro.obs.trace", "repro.core.nscaching"),
+            "benchmarks/bench_trace_overhead.py",
+        ),
     )
 }
 

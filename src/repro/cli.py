@@ -628,7 +628,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         return 0
 
-    total = sum(float(r["dur"]) for r in records)
+    # Self seconds partition the traced time, so nested spans are counted
+    # once and the "% self" column sums to 100.
+    summary = category_summary(records)
+    total = sum(row["self_seconds"] for row in summary)
     print(
         format_table(
             ("category", "spans", "seconds", "self seconds", "% self"),
@@ -640,7 +643,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                     round(row["self_seconds"], 4),
                     round(100.0 * row["self_seconds"] / total, 1) if total else 0.0,
                 )
-                for row in category_summary(records)
+                for row in summary
             ],
             title=f"span summary ({args.trace_file}, {len(records)} spans)",
         )

@@ -22,23 +22,86 @@ A model owns its parameter tables and exposes three things:
   the base class; models override the :meth:`_score_candidates_impl`
   kernel hook with fused per-family kernels (see the conformance suite in
   ``tests/models/test_conformance.py`` for the contract they must honour).
+  The bilinear family shares one row-blocked kernel,
+  :func:`score_candidate_blocks`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Sequence
 
 import numpy as np
 
 from repro.models.params import GradientBag
 from repro.utils.rng import ensure_rng
 
-__all__ = ["CANDIDATE_MODES", "KGEModel"]
+__all__ = [
+    "CANDIDATE_MODES",
+    "KGEModel",
+    "candidate_block_rows",
+    "score_candidate_blocks",
+]
 
 #: Corruption modes understood by :meth:`KGEModel.score_candidates`:
 #: ``"tail"`` scores ``(anchor, r, candidate)``; ``"head"`` scores
 #: ``(candidate, r, anchor)``.
 CANDIDATE_MODES: tuple[str, ...] = ("head", "tail")
+
+#: Bytes of one gathered ``[rows, C, d]`` candidate block: small enough to
+#: stay in a core's L2 cache next to the tables it was gathered from, so
+#: the matvec that scores it never goes back to main memory.
+CANDIDATE_BLOCK_BYTES = 1 << 19
+
+
+def candidate_block_rows(n_candidates: int, width: int, itemsize: int = 8) -> int:
+    """Rows of a ``[B, n_candidates]`` block that one gather covers (>= 1)."""
+    return max(1, CANDIDATE_BLOCK_BYTES // (n_candidates * width * itemsize))
+
+
+def score_candidate_blocks(
+    candidates: np.ndarray, terms: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """``out[b, c] = sum_k tables_k[candidates[b, c]] . queries_k[b]``.
+
+    The shared kernel of the bilinear family: each ``(table, query)`` term
+    pairs an ``[n, d]`` entity table with ``[B, d]`` per-row queries.
+    ``candidates`` is a non-empty ``[B, C]`` id block (the validated input
+    of :meth:`KGEModel.score_candidates`).
+    Rather than gathering the whole ``[B, C, d]`` block at once, a few
+    rows (:func:`candidate_block_rows`) are gathered into one reused
+    buffer and scored while still cache-resident.  Each row's matvec is
+    the same BLAS call as over the full block, so the scores are
+    byte-identical to ``sum_k matmul(table_k[candidates], q_k[:, :, None])``.
+    """
+    b, c = candidates.shape
+    first_table = terms[0][0]
+    n_rows, d = first_table.shape
+    # np.take into a preallocated buffer skips fancy indexing's temporary;
+    # its "wrap" mode matches Python indexing once ids lie in [-n, n).
+    low, high = int(candidates.min()), int(candidates.max())
+    if low < -n_rows or high >= n_rows:
+        bad = low if low < -n_rows else high
+        raise IndexError(
+            f"index {bad} is out of bounds for axis 0 with size {n_rows}"
+        )
+    step = candidate_block_rows(c, d, first_table.itemsize)
+    out = np.empty((b, c), dtype=np.float64)
+    buffer = np.empty((min(step, b), c, d), dtype=first_table.dtype)
+    for start in range(0, b, step):
+        stop = min(start + step, b)
+        rows = candidates[start:stop]
+        block = buffer[: stop - start]
+        for k, (table, query) in enumerate(terms):
+            np.take(table, rows, axis=0, out=block, mode="wrap")
+            scores = np.matmul(block, query[start:stop, :, None])[:, :, 0]
+            # Assign the first term rather than add it to zeros: 0.0 + -0.0
+            # would turn a -0.0 score into +0.0.
+            if k == 0:
+                out[start:stop] = scores
+            else:
+                out[start:stop] += scores
+    return out
 
 
 class KGEModel(ABC):

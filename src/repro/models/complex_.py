@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.base import KGEModel
+from repro.models.base import KGEModel, score_candidate_blocks
 from repro.models.initializers import xavier_uniform
 from repro.models.params import GradientBag
 
@@ -92,16 +92,16 @@ class ComplEx(KGEModel):
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:
         """Fused candidate kernel: the complex query coefficients are built
-        once per row, then the block is scored with two batched matmuls
-        (one per real/imaginary table)."""
+        once per row, then the block is scored against the real and
+        imaginary tables by the shared row-blocked kernel."""
         if mode == "tail":
             a, b = self._tail_query(anchors, r)
         else:
             a, b = self._head_query(r, anchors)
         p = self.params
-        out = np.matmul(p["entity_re"][candidates], a[:, :, None])
-        out += np.matmul(p["entity_im"][candidates], b[:, :, None])
-        return out[:, :, 0]
+        return score_candidate_blocks(
+            candidates, [(p["entity_re"], a), (p["entity_im"], b)]
+        )
 
     def score_all_tails(self, h: np.ndarray, r: np.ndarray, chunk: int = 64) -> np.ndarray:
         h = np.asarray(h, dtype=np.int64)

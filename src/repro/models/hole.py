@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.base import KGEModel
+from repro.models.base import KGEModel, score_candidate_blocks
 from repro.models.initializers import xavier_uniform
 from repro.models.params import GradientBag
 
@@ -69,13 +69,14 @@ class HolE(KGEModel):
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:
         """Fused candidate kernel: one FFT query per row (the linear form of
-        the circular op), block scored with a single batched matmul."""
+        the circular op), block scored by the shared row-blocked matmul
+        kernel."""
         ent, rel = self.params["entity"], self.params["relation"]
         if mode == "tail":
             query = _cconv(rel[r], ent[anchors])  # f(t) = (r conv h) . t
         else:
             query = _ccorr(rel[r], ent[anchors])  # f(h) = (r ccorr t) . h
-        return np.matmul(ent[candidates], query[:, :, None])[:, :, 0]
+        return score_candidate_blocks(candidates, [(ent, query)])
 
     def score_all_tails(self, h: np.ndarray, r: np.ndarray, chunk: int = 64) -> np.ndarray:
         ent, rel = self.params["entity"], self.params["relation"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.base import KGEModel
+from repro.models.base import KGEModel, score_candidate_blocks
 from repro.models.initializers import xavier_uniform
 from repro.models.params import GradientBag
 
@@ -60,14 +60,14 @@ class RESCAL(KGEModel):
     ) -> np.ndarray:
         """Fused candidate kernel: the relation matrix is contracted with the
         anchor once per row (``h^T M`` or ``M t``), then the block is scored
-        with one batched matmul."""
+        by the shared row-blocked matmul kernel."""
         ent = self.params["entity"]
         m = self.params["relation"][r]
         if mode == "tail":
             query = np.einsum("bi,bij->bj", ent[anchors], m)  # h^T M
         else:
             query = np.einsum("bij,bj->bi", m, ent[anchors])  # M t
-        return np.matmul(ent[candidates], query[:, :, None])[:, :, 0]
+        return score_candidate_blocks(candidates, [(ent, query)])
 
     def score_all_tails(self, h: np.ndarray, r: np.ndarray, chunk: int = 64) -> np.ndarray:
         ent = self.params["entity"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.base import KGEModel
+from repro.models.base import KGEModel, score_candidate_blocks
 from repro.models.initializers import xavier_uniform
 from repro.models.params import GradientBag
 
@@ -68,7 +68,8 @@ class SimplE(KGEModel):
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:
         """Fused candidate kernel: forward and inverse queries built once per
-        row, block scored with two batched matmuls over the role tables."""
+        row, block scored against both role tables by the shared row-blocked
+        kernel."""
         p = self.params
         if mode == "tail":
             fwd_q = p["entity_head"][anchors] * p["relation"][r]
@@ -78,10 +79,11 @@ class SimplE(KGEModel):
             fwd_q = p["relation"][r] * p["entity_tail"][anchors]
             inv_q = p["entity_head"][anchors] * p["relation_inv"][r]
             fwd_table, inv_table = p["entity_head"], p["entity_tail"]
-        out = np.matmul(fwd_table[candidates], fwd_q[:, :, None])
-        out += np.matmul(inv_table[candidates], inv_q[:, :, None])
+        out = score_candidate_blocks(
+            candidates, [(fwd_table, fwd_q), (inv_table, inv_q)]
+        )
         out *= 0.5
-        return out[:, :, 0]
+        return out
 
     # -- backward ------------------------------------------------------------
     def grad(

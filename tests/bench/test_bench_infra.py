@@ -1,5 +1,8 @@
 """Tests for the benchmark harness, tables and experiment registry."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.bench.harness import (
@@ -12,6 +15,8 @@ from repro.bench.harness import (
 from repro.bench.registry import EXPERIMENTS, describe_experiments
 from repro.bench.tables import format_float, format_table, render_metrics_row
 from repro.models import PAPER_MODELS
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestTables:
@@ -52,6 +57,14 @@ class TestRegistry:
     def test_every_experiment_names_a_bench_file(self):
         for exp in EXPERIMENTS.values():
             assert exp.bench.startswith("benchmarks/bench_")
+            assert (REPO_ROOT / exp.bench).is_file(), exp.bench
+        # ...and the other direction: every bench script the CI smoke job
+        # runs is registered.
+        ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        smoked = set(re.findall(r"(benchmarks/bench_\w+\.py) --smoke", ci))
+        assert smoked, "no bench-smoke steps found in ci.yml"
+        registered = {exp.bench for exp in EXPERIMENTS.values()}
+        assert smoked <= registered, sorted(smoked - registered)
 
     def test_describe_renders(self):
         text = describe_experiments()

@@ -13,7 +13,10 @@ is caught by construction:
 * determinism (same parameters ⇒ bitwise-identical scores, no RNG);
 * early ``ValueError`` on an unknown corruption mode or bad shapes;
 * edge cases: empty batch, a single candidate (``N1 + N2 == 1``), ids at
-  ``n_entities - 1``.
+  ``n_entities - 1``;
+* row-blocking: the bilinear kernels score a few rows per gather, and
+  must stay byte-identical to the unblocked gather + matmul oracle for
+  batch sizes on both sides of every block boundary.
 
 Every test runs for every entry in ``MODEL_REGISTRY`` via the
 ``conformance_model`` fixture (see ``conftest.py``).
@@ -22,12 +25,13 @@ Every test runs for every entry in ``MODEL_REGISTRY`` via the
 import numpy as np
 import pytest
 
-from repro.models import MODEL_REGISTRY
-from repro.models.base import CANDIDATE_MODES, KGEModel
+from repro.models import MODEL_REGISTRY, make_model
+from repro.models.base import CANDIDATE_MODES, KGEModel, candidate_block_rows
 
 from conformance_fixtures import (
     CONF_N_ENTITIES,
     CONF_N_RELATIONS,
+    UNBLOCKED_KERNELS,
     build_conformance_model,
     looped_reference_scores,
 )
@@ -253,3 +257,67 @@ class TestEdgeCases:
         )
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(cand, wide[:, ::2])  # input untouched
+
+
+#: (dim, candidates per row) shapes for the row-blocking tests: many rows
+#: per block, the refresh shape (N1 + N2 = 100, d = 64), and rows too wide
+#: for the budget (one row per block).
+BLOCK_SHAPES = [(6, 9), (64, 100), (6, 11_000)]
+
+
+def _boundary_batch_sizes(block):
+    return sorted({1, max(1, block - 1), block, block + 1, 3 * block + 5})
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("model_name", sorted(UNBLOCKED_KERNELS))
+class TestRowBlockedKernels:
+    @pytest.mark.parametrize("dim, width", BLOCK_SHAPES)
+    def test_byte_identical_across_block_boundaries(
+        self, model_name, mode, dim, width, rng
+    ):
+        model = make_model(model_name, CONF_N_ENTITIES, CONF_N_RELATIONS, dim, rng=5)
+        block = candidate_block_rows(width, dim)
+        oracle = UNBLOCKED_KERNELS[model_name]
+        for b in _boundary_batch_sizes(block):
+            anchors = rng.integers(0, CONF_N_ENTITIES, b)
+            r = rng.integers(0, CONF_N_RELATIONS, b)
+            cand = rng.integers(0, CONF_N_ENTITIES, (b, width))
+            got = model.score_candidates(anchors, r, cand, mode)
+            expected = oracle(model, anchors, r, cand, mode)
+            assert got.tobytes() == expected.tobytes(), f"B={b} block={block}"
+
+    def test_non_contiguous_candidates_byte_identical(self, model_name, mode, rng):
+        dim, width = 64, 100
+        model = make_model(model_name, CONF_N_ENTITIES, CONF_N_RELATIONS, dim, rng=5)
+        b = 3 * candidate_block_rows(width, dim) + 5
+        anchors = rng.integers(0, CONF_N_ENTITIES, b)
+        r = rng.integers(0, CONF_N_RELATIONS, b)
+        strided = rng.integers(0, CONF_N_ENTITIES, (b, 2 * width))[:, ::2]
+        fortran = np.asfortranarray(rng.integers(0, CONF_N_ENTITIES, (b, width)))
+        for cand in (strided, fortran):
+            assert not cand.flags.c_contiguous
+            got = model.score_candidates(anchors, r, cand, mode)
+            expected = UNBLOCKED_KERNELS[model_name](model, anchors, r, cand, mode)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_ids_index_like_fancy_indexing(self, model_name, mode, rng):
+        """Negative ids wrap as in ``table[ids]``; out-of-range ids raise."""
+        model = build_conformance_model(model_name)
+        anchors = rng.integers(0, CONF_N_ENTITIES, 2)
+        r = rng.integers(0, CONF_N_RELATIONS, 2)
+        negative = np.array([[-1, -CONF_N_ENTITIES], [0, -2]])
+        got = model.score_candidates(anchors, r, negative, mode)
+        expected = model.score_candidates(
+            anchors, r, negative % CONF_N_ENTITIES, mode
+        )
+        np.testing.assert_array_equal(got, expected)
+        for bad in (CONF_N_ENTITIES, -CONF_N_ENTITIES - 1):
+            with pytest.raises(IndexError, match="out of bounds"):
+                model.score_candidates(anchors, r, np.array([[0, bad], [1, 2]]), mode)
+
+
+def test_block_rows_follow_the_byte_budget():
+    assert candidate_block_rows(100, 64) == (1 << 19) // (100 * 64 * 8)
+    assert candidate_block_rows(100, 64, itemsize=4) == 2 * candidate_block_rows(100, 64)
+    assert candidate_block_rows(11_000, 6) == 1  # never fewer than one row

@@ -714,6 +714,33 @@ class TestTraceCLI:
         assert "hidden behind step (%)" in out
         assert "refresh_worker" in out
 
+    def test_summary_self_percentages_sum_to_100_on_nested_trace(
+        self, tmp_path, capsys
+    ):
+        from repro.obs.runlog import RUN_LOG_VERSION
+        from repro.obs.trace import write_trace
+
+        def span(name, cat, ts, dur):
+            return {"type": "span", "version": RUN_LOG_VERSION, "name": name,
+                    "cat": cat, "ts": ts, "dur": dur, "pid": 1, "tid": 1}
+
+        # train 10s > core 6s > models 2s, then a sibling optim 3s inside
+        # train: self seconds are train 1, core 4, models 2, optim 3.
+        path = write_trace(tmp_path / "nested.jsonl", [
+            span("train_batch", "train", 0.0, 10.0),
+            span("update", "core", 0.5, 6.0),
+            span("score_candidates", "models", 1.0, 2.0),
+            span("step", "optim", 6.8, 3.0),
+        ])
+        assert main(["trace", "summary", str(path)]) == 0
+        rows = {}
+        for line in capsys.readouterr().out.splitlines():
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            if len(cells) == 5 and cells[0] in {"train", "core", "models", "optim"}:
+                rows[cells[0]] = float(cells[4])
+        assert rows == {"core": 40.0, "optim": 30.0, "models": 20.0, "train": 10.0}
+        assert sum(rows.values()) == pytest.approx(100.0)
+
     def test_trace_missing_file_fails_cleanly(self, capsys):
         assert main(["trace", "summary", "/nonexistent/t.jsonl"]) == 2
         assert "cannot read trace" in capsys.readouterr().err
