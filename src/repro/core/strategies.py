@@ -201,6 +201,11 @@ def select_cache_survivors(
     :class:`SurvivorSelection` that additionally carries the selected
     union columns and the duplicate-fill flags, the inputs of the
     sort-free CE derivation (:func:`selection_changed_elements`).
+
+    Every refresh path (sequential, unfused and pool worker) selects
+    through here, so this is where a NaN or infinite score stops the run
+    with ``FloatingPointError`` instead of silently steering
+    ``argpartition``.
     """
     rng = ensure_rng(rng)
     candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
@@ -213,6 +218,14 @@ def select_cache_survivors(
     if n_keep > n:
         raise ValueError(f"cannot keep {n_keep} of {n} candidates")
     strategy = UpdateStrategy(strategy)
+    finite = np.isfinite(candidate_scores)
+    if not finite.all():
+        bad_rows = np.flatnonzero(~finite.all(axis=1))
+        raise FloatingPointError(
+            f"{finite.size - np.count_nonzero(finite)} non-finite candidate "
+            f"scores (first in row {bad_rows[0]}); refusing to select cache "
+            f"survivors"
+        )
 
     # Suppress within-row duplicates; -inf keys are never selected unless a
     # row has fewer uniques than n_keep, in which case duplicates fill in

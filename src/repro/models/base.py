@@ -12,9 +12,10 @@ A model owns its parameter tables and exposes three things:
   verified against finite differences in the test suite);
 * **bulk scoring**: :meth:`score_tails` / :meth:`score_all_tails` (and the
   head-side twins) used by the cache update (Alg. 3 step 4), KBGAN/IGAN
-  generators, and the link-prediction evaluator.  The base class provides
-  correct broadcast implementations; subclasses override them with faster
-  closed forms where available;
+  generators, and the link-prediction evaluator.  The base class scores
+  all entities by feeding contiguous entity ranges to the candidate
+  kernel, one candidate block at a time; the bilinear models
+  override it with one GEMM against the entity table;
 * **fused candidate scoring**: :meth:`KGEModel.score_candidates` — one
   validated entry point for scoring a ``[B, C]`` candidate block against
   per-row ``(anchor, relation)`` queries, the primitive the NSCaching
@@ -22,24 +23,30 @@ A model owns its parameter tables and exposes three things:
   the base class; models override the :meth:`_score_candidates_impl`
   kernel hook with fused per-family kernels (see the conformance suite in
   ``tests/models/test_conformance.py`` for the contract they must honour).
-  The bilinear family shares one row-blocked kernel,
-  :func:`score_candidate_blocks`.
+  The bilinear family and TransE share one row-blocked gather loop,
+  :func:`score_candidate_blocks`, with a per-family block scorer
+  (:func:`matvec_scores`, :func:`residual_norm_scores`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.models.norms import negated_norm_into
 from repro.models.params import GradientBag
 from repro.utils.rng import ensure_rng
 
 __all__ = [
     "CANDIDATE_MODES",
+    "BlockScorer",
     "KGEModel",
     "candidate_block_rows",
+    "entity_range_width",
+    "matvec_scores",
+    "residual_norm_scores",
     "score_candidate_blocks",
 ]
 
@@ -59,20 +66,80 @@ def candidate_block_rows(n_candidates: int, width: int, itemsize: int = 8) -> in
     return max(1, CANDIDATE_BLOCK_BYTES // (n_candidates * width * itemsize))
 
 
-def score_candidate_blocks(
-    candidates: np.ndarray, terms: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """``out[b, c] = sum_k tables_k[candidates[b, c]] . queries_k[b]``.
+def entity_range_width(n_queries: int, dim: int) -> int:
+    """Entities per range of the base ``score_all_*`` for ``n_queries`` rows.
 
-    The shared kernel of the bilinear family: each ``(table, query)`` term
-    pairs an ``[n, d]`` entity table with ``[B, d]`` per-row queries.
-    ``candidates`` is a non-empty ``[B, C]`` id block (the validated input
-    of :meth:`KGEModel.score_candidates`).
+    The ``[n_queries, width, dim]`` gather fits the candidate byte budget,
+    rounded down to whole multiples of 64 entities (at least 64).  The
+    rounding keeps every entity at the same offset within BLAS's unrolled
+    groups as in one all-entity call, and keeps BLAS off its small-matrix
+    kernels, so the scores match ``score_candidates`` over all entities
+    byte for byte.
+    """
+    return max(64, candidate_block_rows(max(n_queries, 1), dim) // 64 * 64)
+
+
+#: The per-block step of :func:`score_candidate_blocks`:
+#: ``score_block(block, query, out, k)`` scores term ``k``'s gathered
+#: ``[rows, C, d]`` block (a scratch buffer it may overwrite) against the
+#: ``[rows, d]`` queries, assigning into ``out`` ``[rows, C]`` when
+#: ``k == 0`` and accumulating into it after.
+BlockScorer = Callable[[np.ndarray, np.ndarray, np.ndarray, int], None]
+
+
+def matvec_scores(
+    block: np.ndarray, query: np.ndarray, out: np.ndarray, k: int
+) -> None:
+    """Bilinear block scorer: ``out[b, c] (+)= block[b, c] . query[b]``."""
+    scores = np.matmul(block, query[:, :, None])[:, :, 0]
+    # Assign the first term rather than add it to zeros: 0.0 + -0.0 would
+    # turn a -0.0 score into +0.0.
+    if k == 0:
+        out[...] = scores
+    else:
+        out += scores
+
+
+def residual_norm_scores(mode: str, p: int) -> BlockScorer:
+    """Translational block scorer: ``out = -||query - cand||_p`` for tails,
+    ``-||cand + query||_p`` for heads (one term per call).
+
+    The query is folded into the gathered block in place and the norm
+    reduced straight into ``out`` — the element-wise ops of
+    ``-norm_forward(e, p)`` in the same order, so the scores are
+    byte-identical to the unblocked residual.
+    """
+
+    def score_block(
+        block: np.ndarray, query: np.ndarray, out: np.ndarray, k: int
+    ) -> None:
+        if mode == "tail":
+            np.subtract(query[:, None, :], block, out=block)
+        else:
+            block += query[:, None, :]
+        negated_norm_into(block, p, out)
+
+    return score_block
+
+
+def score_candidate_blocks(
+    candidates: np.ndarray,
+    terms: Sequence[tuple[np.ndarray, np.ndarray]],
+    score_block: BlockScorer = matvec_scores,
+) -> np.ndarray:
+    """Score a ``[B, C]`` id block term by term, a few rows per gather.
+
+    Each ``(table, query)`` term pairs an ``[n, d]`` entity table with
+    ``[B, d]`` per-row queries; ``score_block`` turns one gathered block
+    of a term into scores (default: the bilinear ``sum_k table_k[c] .
+    query_k[b]``).  ``candidates`` is a non-empty ``[B, C]`` id block (the
+    validated input of :meth:`KGEModel.score_candidates`).
     Rather than gathering the whole ``[B, C, d]`` block at once, a few
     rows (:func:`candidate_block_rows`) are gathered into one reused
-    buffer and scored while still cache-resident.  Each row's matvec is
-    the same BLAS call as over the full block, so the scores are
-    byte-identical to ``sum_k matmul(table_k[candidates], q_k[:, :, None])``.
+    buffer and scored while still cache-resident.  Every row is scored
+    by the same operations as over the full block (a matvec, or
+    element-wise ops and a sum over the contiguous last axis), so the
+    scores are byte-identical to the unblocked kernels.
     """
     b, c = candidates.shape
     first_table = terms[0][0]
@@ -94,13 +161,7 @@ def score_candidate_blocks(
         block = buffer[: stop - start]
         for k, (table, query) in enumerate(terms):
             np.take(table, rows, axis=0, out=block, mode="wrap")
-            scores = np.matmul(block, query[start:stop, :, None])[:, :, 0]
-            # Assign the first term rather than add it to zeros: 0.0 + -0.0
-            # would turn a -0.0 score into +0.0.
-            if k == 0:
-                out[start:stop] = scores
-            else:
-                out[start:stop] += scores
+            score_block(block, query[start:stop], out[start:stop], k)
     return out
 
 
@@ -278,31 +339,47 @@ class KGEModel(ABC):
     ) -> np.ndarray:
         """Score against every entity as tail; result ``[B, n_entities]``.
 
-        Evaluation-sized workloads go through here, so the generic version
-        processes query rows in chunks to bound temporary memory.
+        ``chunk`` is accepted for API compatibility and ignored: the work
+        is split into entity ranges sized by the candidate byte budget
+        (see :meth:`_score_all`).
         """
-        h = np.asarray(h, dtype=np.int64)
-        r = np.asarray(r, dtype=np.int64)
-        all_entities = np.arange(self.n_entities, dtype=np.int64)
-        out = np.empty((len(h), self.n_entities), dtype=np.float64)
-        for start in range(0, len(h), chunk):
-            stop = min(start + chunk, len(h))
-            cand = np.broadcast_to(all_entities, (stop - start, self.n_entities))
-            out[start:stop] = self.score_tails(h[start:stop], r[start:stop], cand)
-        return out
+        return self._score_all(h, r, "tail")
 
     def score_all_heads(
         self, r: np.ndarray, t: np.ndarray, chunk: int = 64
     ) -> np.ndarray:
-        """Score against every entity as head; result ``[B, n_entities]``."""
+        """Score against every entity as head; result ``[B, n_entities]``.
+
+        ``chunk`` is ignored, as in :meth:`score_all_tails`.
+        """
+        return self._score_all(t, r, "head")
+
+    def _score_all(self, anchors: np.ndarray, r: np.ndarray, mode: str) -> np.ndarray:
+        """All-entity scoring through the candidate kernel.
+
+        Contiguous entity ranges (:func:`entity_range_width`) go to
+        :meth:`_score_candidates_impl` as ``[B, width]`` candidate blocks,
+        so the temporaries stay within a few candidate blocks whatever the
+        entity count, and every score has the bytes
+        :meth:`score_candidates` gives it.
+        """
+        anchors = np.asarray(anchors, dtype=np.int64)
         r = np.asarray(r, dtype=np.int64)
-        t = np.asarray(t, dtype=np.int64)
-        all_entities = np.arange(self.n_entities, dtype=np.int64)
-        out = np.empty((len(r), self.n_entities), dtype=np.float64)
-        for start in range(0, len(r), chunk):
-            stop = min(start + chunk, len(r))
-            cand = np.broadcast_to(all_entities, (stop - start, self.n_entities))
-            out[start:stop] = self.score_heads(cand, r[start:stop], t[start:stop])
+        b, n = len(anchors), self.n_entities
+        out = np.empty((b, n), dtype=np.float64)
+        if b == 0:
+            return out
+        width = entity_range_width(b, self.dim)
+        # The last range takes the remainder (up to 2 * width - 1 ids), so
+        # BLAS sees the tail of the entity axis as in one all-entity call.
+        n_ranges = max(1, n // width)
+        for i in range(n_ranges):
+            start = i * width
+            stop = n if i == n_ranges - 1 else start + width
+            ids = np.broadcast_to(
+                np.arange(start, stop, dtype=np.int64), (b, stop - start)
+            )
+            out[:, start:stop] = self._score_candidates_impl(anchors, r, ids, mode)
         return out
 
     # -- constraints ----------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["norm_forward", "norm_backward", "check_p"]
+__all__ = ["norm_forward", "norm_backward", "check_p", "negated_norm_into"]
 
 _EPS = 1e-12
 
@@ -28,6 +28,23 @@ def norm_forward(e: np.ndarray, p: int) -> np.ndarray:
     if p == 1:
         return np.sum(np.abs(e), axis=-1)
     return np.sqrt(np.sum(e**2, axis=-1) + _EPS)
+
+
+def negated_norm_into(e: np.ndarray, p: int, out: np.ndarray) -> None:
+    """``out = -||e||_p`` along the last axis, using ``e`` as scratch.
+
+    The operations of ``-norm_forward(e, p)`` in the same order, done in
+    place, so ``out`` holds the same bytes without any temporaries.
+    """
+    if p == 1:
+        np.abs(e, out=e)
+        np.sum(e, axis=-1, out=out)
+    else:
+        np.square(e, out=e)
+        np.sum(e, axis=-1, out=out)
+        out += _EPS
+        np.sqrt(out, out=out)
+    np.negative(out, out=out)
 
 
 def norm_backward(e: np.ndarray, p: int) -> np.ndarray:

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.base import KGEModel
+from repro.models.base import (
+    KGEModel,
+    residual_norm_scores,
+    score_candidate_blocks,
+)
 from repro.models.initializers import xavier_uniform
 from repro.models.norms import check_p, norm_backward, norm_forward
 from repro.models.params import GradientBag
@@ -67,55 +71,17 @@ class TransE(KGEModel):
     def _score_candidates_impl(
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:
-        """Fused candidate kernel: one residual buffer, no broadcast temp.
-
-        The gathered candidate block is the only ``[B, C, d]`` allocation;
-        the query is folded into it in place before the norm.
-        """
+        """Fused candidate kernel on the shared row-blocked gather: the
+        per-row query is folded into each gathered block in place before
+        the norm, so no ``[B, C, d]`` temporary is ever allocated."""
         ent, rel = self.params["entity"], self.params["relation"]
-        e = ent[candidates]  # [B, C, d] — a fresh copy, safe to overwrite
         if mode == "tail":
             query = ent[anchors] + rel[r]  # e = query - cand
-            np.subtract(query[:, None, :], e, out=e)
         else:
             query = rel[r] - ent[anchors]  # e = cand + query
-            e += query[:, None, :]
-        return -norm_forward(e, self.p)
-
-    def score_all_tails(
-        self, h: np.ndarray, r: np.ndarray, chunk: int = 64
-    ) -> np.ndarray:
-        """All-entity tail scoring without materialising a candidate gather.
-
-        When every entity is a candidate, broadcasting against the entity
-        table directly skips the ``[B, E, d]`` fancy-index copy the generic
-        path pays — the evaluation and serving hot path.
-        """
-        ent, rel = self.params["entity"], self.params["relation"]
-        h = np.asarray(h, dtype=np.int64)
-        r = np.asarray(r, dtype=np.int64)
-        query = ent[h] + rel[r]  # [B, d]
-        out = np.empty((len(h), self.n_entities), dtype=np.float64)
-        for start in range(0, len(h), chunk):
-            stop = min(start + chunk, len(h))
-            e = query[start:stop, None, :] - ent[None, :, :]
-            out[start:stop] = -norm_forward(e, self.p)
-        return out
-
-    def score_all_heads(
-        self, r: np.ndarray, t: np.ndarray, chunk: int = 64
-    ) -> np.ndarray:
-        """All-entity head scoring via direct broadcast (see score_all_tails)."""
-        ent, rel = self.params["entity"], self.params["relation"]
-        r = np.asarray(r, dtype=np.int64)
-        t = np.asarray(t, dtype=np.int64)
-        query = rel[r] - ent[t]  # [B, d]; e = cand + query
-        out = np.empty((len(r), self.n_entities), dtype=np.float64)
-        for start in range(0, len(r), chunk):
-            stop = min(start + chunk, len(r))
-            e = ent[None, :, :] + query[start:stop, None, :]
-            out[start:stop] = -norm_forward(e, self.p)
-        return out
+        return score_candidate_blocks(
+            candidates, [(ent, query)], residual_norm_scores(mode, self.p)
+        )
 
     # -- backward ------------------------------------------------------------
     def grad(

@@ -66,7 +66,8 @@ class TopKScorer:
         Supplies the known-triple filter indexes.  Optional; without it
         only unfiltered queries are possible.
     chunk:
-        Row-chunk size handed to the bulk scorers (bounds temporaries).
+        Row-chunk size handed to the bulk scorers.  The registry models'
+        ``score_all_*`` bound their temporaries themselves and ignore it.
     """
 
     def __init__(

@@ -165,6 +165,18 @@ class TestFusedRefresh:
         sampler.update(batch, sampler.sample(batch))
         assert sampler.changed_elements() > 0
 
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_nan_embedding_stops_the_refresh(self, tiny_kg, fused):
+        model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
+        sampler = NSCachingSampler(cache_size=4, candidate_size=4, fused=fused)
+        sampler.bind(model, tiny_kg, rng=0)
+        batch = tiny_kg.train[:8]
+        model.params["entity"][batch[3, 0]] = np.nan  # a head the tail side scores
+        with pytest.raises(
+            FloatingPointError, match=r"non-finite candidate scores \(first in row \d+\)"
+        ):
+            sampler.update(batch, batch, modes=("tail",))
+
     def test_union_buffer_reused_across_batches(self, bound_sampler, tiny_kg):
         batch = tiny_kg.train[:16]
         bound_sampler.update(batch, batch)

@@ -163,6 +163,22 @@ class TestSelectCacheSurvivors:
             candidates = set(ids[i].tolist())
             assert set(kept[i].tolist()) <= candidates
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("strategy", list(UpdateStrategy))
+    def test_non_finite_scores_raise_before_selecting(self, bad, strategy):
+        """A NaN or infinite score must stop the refresh, not steer
+        argpartition; nothing is drawn from the generator first."""
+        ids = np.arange(12).reshape(3, 4)
+        scores = np.zeros((3, 4))
+        scores[1, 2] = scores[2, 0] = bad
+        rng = np.random.default_rng(0)
+        with pytest.raises(
+            FloatingPointError,
+            match=r"2 non-finite candidate scores \(first in row 1\)",
+        ):
+            select_cache_survivors(ids, scores, 2, strategy, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
 
 class TestSurvivorSelection:
     def test_selection_carries_columns_and_ids_agree(self, rng):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models import make_model
+from repro.models.norms import norm_forward
 
 #: Vocabulary the conformance models are built with — deliberately odd
 #: sizes (13 entities, 4 relations, dim 6) to shake out square-shape
@@ -43,10 +44,11 @@ def looped_reference_scores(model, anchors, r, candidates, mode):
     return out
 
 
-# -- unblocked bilinear kernels ----------------------------------------------
-# The bilinear kernels before row-blocking: gather the whole [B, C, d]
-# block, then one batched matmul per entity table.  ``score_candidates``
-# must reproduce these byte for byte (see TestRowBlockedKernels).
+# -- unblocked candidate kernels ---------------------------------------------
+# The candidate kernels before row-blocking: gather the whole [B, C, d]
+# block, then one batched matmul per entity table (bilinear) or one
+# residual norm (TransE).  ``score_candidates`` must reproduce these byte
+# for byte (see TestRowBlockedKernels).
 
 
 def _unblocked(terms, candidates):
@@ -104,12 +106,86 @@ def _hole_oracle(model, anchors, r, candidates, mode):
     return _unblocked([(ent, op(rel[r], ent[anchors]))], candidates)
 
 
-#: Registry name -> unblocked reference kernel, for every bilinear model
-#: whose ``_score_candidates_impl`` runs through ``score_candidate_blocks``.
+def _transe_oracle(model, anchors, r, candidates, mode):
+    ent, rel = model.params["entity"], model.params["relation"]
+    e = ent[candidates]
+    if mode == "tail":
+        query = ent[anchors] + rel[r]
+        np.subtract(query[:, None, :], e, out=e)
+    else:
+        query = rel[r] - ent[anchors]
+        e += query[:, None, :]
+    return -norm_forward(e, model.p)
+
+
+#: Registry name -> unblocked reference kernel, for every model whose
+#: ``_score_candidates_impl`` runs through ``score_candidate_blocks``.
 UNBLOCKED_KERNELS = {
     "ComplEx": _complex_oracle,
     "DistMult": _distmult_oracle,
     "SimplE": _simple_oracle,
     "RESCAL": _rescal_oracle,
     "HolE": _hole_oracle,
+    "TransE": _transe_oracle,
+}
+
+#: Kernel variants the row-blocking tests cover: registry name and
+#: constructor options per case.  The oracle is ``UNBLOCKED_KERNELS`` of
+#: the registry name (TransE's oracle reads the model's norm order).
+BLOCKED_KERNEL_CASES = {
+    **{name: (name, {}) for name in UNBLOCKED_KERNELS},
+    "TransE-p2": ("TransE", {"p": 2}),
+}
+
+
+# -- broadcast score_all paths -----------------------------------------------
+# score_all_* before entity blocking, for the models without a GEMM of
+# their own, at the old default of 64 query rows per chunk.  Oracles take
+# ``(model, anchors, r, mode)`` with the anchors the heads for mode="tail"
+# and the tails for mode="head".
+
+_CHUNK = 64
+
+
+def _transe_score_all_oracle(model, anchors, r, mode):
+    """TransE's old override: broadcast ``[chunk, E, d]`` against the table."""
+    ent, rel = model.params["entity"], model.params["relation"]
+    if mode == "tail":
+        query = ent[anchors] + rel[r]
+    else:
+        query = rel[r] - ent[anchors]
+    out = np.empty((len(anchors), model.n_entities))
+    for start in range(0, len(anchors), _CHUNK):
+        stop = min(start + _CHUNK, len(anchors))
+        if mode == "tail":
+            e = query[start:stop, None, :] - ent[None, :, :]
+        else:
+            e = ent[None, :, :] + query[start:stop, None, :]
+        out[start:stop] = -norm_forward(e, model.p)
+    return out
+
+
+def _broadcast_score_all(model, anchors, r, mode):
+    """The old generic base path: ``[chunk, E]`` broadcast ids through
+    ``score_tails`` / ``score_heads``."""
+    everyone = np.arange(model.n_entities)
+    out = np.empty((len(anchors), model.n_entities))
+    for start in range(0, len(anchors), _CHUNK):
+        stop = min(start + _CHUNK, len(anchors))
+        ids = np.broadcast_to(everyone, (stop - start, model.n_entities))
+        if mode == "tail":
+            out[start:stop] = model.score_tails(anchors[start:stop], r[start:stop], ids)
+        else:
+            out[start:stop] = model.score_heads(ids, r[start:stop], anchors[start:stop])
+    return out
+
+
+#: Registry name -> the broadcast ``score_all_*`` the entity-blocked base
+#: method must reproduce byte for byte.  The other base-path models
+#: (TransH, TransD, TransR, SimplE) now match their ``score_candidates``
+#: bytes instead, which differ from the broadcast path in the last
+#: few ulps because their bulk scorers order the operations differently.
+UNBLOCKED_SCORE_ALL = {
+    "TransE": _transe_score_all_oracle,
+    "RotatE": _broadcast_score_all,
 }

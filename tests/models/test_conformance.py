@@ -14,24 +14,40 @@ is caught by construction:
 * early ``ValueError`` on an unknown corruption mode or bad shapes;
 * edge cases: empty batch, a single candidate (``N1 + N2 == 1``), ids at
   ``n_entities - 1``;
-* row-blocking: the bilinear kernels score a few rows per gather, and
-  must stay byte-identical to the unblocked gather + matmul oracle for
-  batch sizes on both sides of every block boundary.
+* row-blocking: the bilinear and TransE kernels score a few rows per
+  gather, and must stay byte-identical to the unblocked gather + matmul
+  (or residual-norm) oracle for batch sizes on both sides of every block
+  boundary;
+* entity-blocked ``score_all_*``: chunk-independent, byte-identical to
+  ``score_candidates`` over all entities (and, for TransE and RotatE, to
+  the old broadcast path) on both sides of every entity-range boundary,
+  with temporaries bounded by the candidate byte budget.
 
 Every test runs for every entry in ``MODEL_REGISTRY`` via the
 ``conformance_model`` fixture (see ``conftest.py``).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.models import MODEL_REGISTRY, make_model
-from repro.models.base import CANDIDATE_MODES, KGEModel, candidate_block_rows
+from repro.models.base import (
+    CANDIDATE_BLOCK_BYTES,
+    CANDIDATE_MODES,
+    KGEModel,
+    candidate_block_rows,
+    entity_range_width,
+)
 
 from conformance_fixtures import (
+    BLOCKED_KERNEL_CASES,
+    CONF_DIM,
     CONF_N_ENTITIES,
     CONF_N_RELATIONS,
     UNBLOCKED_KERNELS,
+    UNBLOCKED_SCORE_ALL,
     build_conformance_model,
     looped_reference_scores,
 )
@@ -269,16 +285,22 @@ def _boundary_batch_sizes(block):
     return sorted({1, max(1, block - 1), block, block + 1, 3 * block + 5})
 
 
+def _blocked_case(case, dim=CONF_DIM, rng=5):
+    """The model and unblocked oracle of one ``BLOCKED_KERNEL_CASES`` entry."""
+    name, options = BLOCKED_KERNEL_CASES[case]
+    model = make_model(name, CONF_N_ENTITIES, CONF_N_RELATIONS, dim, rng=rng, **options)
+    return model, UNBLOCKED_KERNELS[name]
+
+
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("model_name", sorted(UNBLOCKED_KERNELS))
+@pytest.mark.parametrize("case", sorted(BLOCKED_KERNEL_CASES))
 class TestRowBlockedKernels:
     @pytest.mark.parametrize("dim, width", BLOCK_SHAPES)
     def test_byte_identical_across_block_boundaries(
-        self, model_name, mode, dim, width, rng
+        self, case, mode, dim, width, rng
     ):
-        model = make_model(model_name, CONF_N_ENTITIES, CONF_N_RELATIONS, dim, rng=5)
+        model, oracle = _blocked_case(case, dim)
         block = candidate_block_rows(width, dim)
-        oracle = UNBLOCKED_KERNELS[model_name]
         for b in _boundary_batch_sizes(block):
             anchors = rng.integers(0, CONF_N_ENTITIES, b)
             r = rng.integers(0, CONF_N_RELATIONS, b)
@@ -287,9 +309,9 @@ class TestRowBlockedKernels:
             expected = oracle(model, anchors, r, cand, mode)
             assert got.tobytes() == expected.tobytes(), f"B={b} block={block}"
 
-    def test_non_contiguous_candidates_byte_identical(self, model_name, mode, rng):
+    def test_non_contiguous_candidates_byte_identical(self, case, mode, rng):
         dim, width = 64, 100
-        model = make_model(model_name, CONF_N_ENTITIES, CONF_N_RELATIONS, dim, rng=5)
+        model, oracle = _blocked_case(case, dim)
         b = 3 * candidate_block_rows(width, dim) + 5
         anchors = rng.integers(0, CONF_N_ENTITIES, b)
         r = rng.integers(0, CONF_N_RELATIONS, b)
@@ -298,12 +320,12 @@ class TestRowBlockedKernels:
         for cand in (strided, fortran):
             assert not cand.flags.c_contiguous
             got = model.score_candidates(anchors, r, cand, mode)
-            expected = UNBLOCKED_KERNELS[model_name](model, anchors, r, cand, mode)
+            expected = oracle(model, anchors, r, cand, mode)
             assert got.tobytes() == expected.tobytes()
 
-    def test_ids_index_like_fancy_indexing(self, model_name, mode, rng):
+    def test_ids_index_like_fancy_indexing(self, case, mode, rng):
         """Negative ids wrap as in ``table[ids]``; out-of-range ids raise."""
-        model = build_conformance_model(model_name)
+        model, _ = _blocked_case(case, rng=3)
         anchors = rng.integers(0, CONF_N_ENTITIES, 2)
         r = rng.integers(0, CONF_N_RELATIONS, 2)
         negative = np.array([[-1, -CONF_N_ENTITIES], [0, -2]])
@@ -321,3 +343,97 @@ def test_block_rows_follow_the_byte_budget():
     assert candidate_block_rows(100, 64) == (1 << 19) // (100 * 64 * 8)
     assert candidate_block_rows(100, 64, itemsize=4) == 2 * candidate_block_rows(100, 64)
     assert candidate_block_rows(11_000, 6) == 1  # never fewer than one row
+
+
+# -- entity-blocked score_all_* ------------------------------------------------
+
+SCORE_ALL_DIM = 64
+#: score_all cases with a broadcast oracle: registry name and options.
+SCORE_ALL_ORACLE_CASES = {
+    "TransE": ("TransE", {}),
+    "TransE-p2": ("TransE", {"p": 2}),
+    "RotatE": ("RotatE", {}),
+}
+
+
+def _score_all(model, anchors, r, mode, **kwargs):
+    if mode == "tail":
+        return model.score_all_tails(anchors, r, **kwargs)
+    return model.score_all_heads(r, anchors, **kwargs)
+
+
+def _entity_counts(b):
+    """Entity counts on both sides of the range boundaries, and below one."""
+    width = entity_range_width(b, SCORE_ALL_DIM)
+    return [5, width - 1, width, width + 1, 2 * width + 3]
+
+
+def _queries(rng, b, n_entities):
+    return rng.integers(0, n_entities, b), rng.integers(0, CONF_N_RELATIONS, b)
+
+
+@pytest.mark.parametrize("mode", MODES)
+# B = 130 would give 7-entity ranges before rounding to whole 64s.
+@pytest.mark.parametrize("b", [0, 1, 17, 130])
+class TestEntityBlockedScoreAll:
+    @pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
+    def test_matches_score_candidates_over_all_entities(
+        self, model_name, b, mode, rng
+    ):
+        for n in _entity_counts(b):
+            model = make_model(model_name, n, CONF_N_RELATIONS, SCORE_ALL_DIM, rng=5)
+            anchors, r = _queries(rng, b, n)
+            got = _score_all(model, anchors, r, mode)
+            everyone = np.broadcast_to(np.arange(n), (b, n))
+            expected = model.score_candidates(anchors, r, everyone, mode)
+            assert got.dtype == np.float64 and got.shape == (b, n)
+            if type(model).score_all_tails is KGEModel.score_all_tails:
+                assert got.tobytes() == expected.tobytes(), f"E={n}"
+            else:
+                # A GEMM override: one [B, d] @ [d, E] product sums in a
+                # different order than the kernel's per-row matvecs.
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(SCORE_ALL_ORACLE_CASES))
+    def test_byte_identical_to_broadcast_oracle(self, case, b, mode, rng):
+        name, options = SCORE_ALL_ORACLE_CASES[case]
+        for n in _entity_counts(b):
+            model = make_model(
+                name, n, CONF_N_RELATIONS, SCORE_ALL_DIM, rng=5, **options
+            )
+            anchors, r = _queries(rng, b, n)
+            got = _score_all(model, anchors, r, mode)
+            expected = UNBLOCKED_SCORE_ALL[name](model, anchors, r, mode)
+            assert got.tobytes() == expected.tobytes(), f"E={n}"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_score_all_ignores_chunk(conformance_model, mode, rng):
+    """Regression: a negative chunk returned uninitialised memory and a
+    zero chunk raised; chunk no longer affects the result at all."""
+    anchors, r = _queries(rng, 5, CONF_N_ENTITIES)
+    default = _score_all(conformance_model, anchors, r, mode)
+    for chunk in (-1, 0, 1, 3, 64):
+        got = _score_all(conformance_model, anchors, r, mode, chunk=chunk)
+        assert got.tobytes() == default.tobytes(), f"chunk={chunk}"
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
+def test_score_all_memory_is_bounded(model_name, mode, rng):
+    """Peak memory stays within the output plus a few candidate blocks,
+    however many entities there are (the [chunk, E, d] broadcast peaked
+    at hundreds of MB here)."""
+    n, b = 20_000, 16
+    model = make_model(model_name, n, CONF_N_RELATIONS, 8, rng=5)
+    anchors, r = _queries(rng, b, n)
+    tracemalloc.start()
+    try:
+        _score_all(model, anchors, r, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = b * n * 8
+    assert peak < output + 8 * CANDIDATE_BLOCK_BYTES, (
+        f"peak {peak} B, output {output} B"
+    )

@@ -233,6 +233,22 @@ class TestPoolMechanics:
             for store in caches.values():
                 store.close()
 
+    @needs_fork
+    def test_non_finite_scores_surface_with_their_message(self):
+        pool, caches = _make_pool(2, use_processes=True)
+        try:
+            pool.start()
+            pool.model.params["entity"][:] = np.nan
+            with pytest.raises(RuntimeError, match="refresh worker failed") as info:
+                pool.refresh(_tasks(caches))
+            message = str(info.value)
+            assert "FloatingPointError" in message
+            assert "non-finite candidate scores (first in row 0)" in message
+        finally:
+            pool.close()
+            for store in caches.values():
+                store.close()
+
     def test_param_sync_ships_current_embeddings(self):
         pool, caches = _make_pool(1, use_processes=False)
         try:
