@@ -143,9 +143,8 @@ def overlap_phases(dataset, *, overlap, workers=2, epochs=2,
     """Disjoint trainer phase seconds for one pooled-refresh run."""
     model = build_model("TransE", dataset, dim=DIM, seed=SEED)
     sampler = NSCachingSampler(
-        cache_size=n1, candidate_size=n2, cache_backend="sharded-array",
-        cache_options={"n_shards": 4}, refresh_workers=workers,
-        refresh_overlap=overlap,
+        cache_size=n1, candidate_size=n2, n_shards=4,
+        refresh_workers=workers, refresh_overlap=overlap,
     )
     trainer = Trainer(
         model, dataset, sampler,
@@ -186,8 +185,7 @@ def period_throughput(dataset, *, period, batch_size, n1=PAPER_N1,
     """(update() triples/s, sync bytes per batch) at one refresh period."""
     model = build_model("TransE", dataset, dim=DIM, seed=SEED)
     sampler = NSCachingSampler(
-        cache_size=n1, candidate_size=n2, cache_backend="sharded-array",
-        cache_options={"n_shards": 4}, refresh_workers=2,
+        cache_size=n1, candidate_size=n2, n_shards=4, refresh_workers=2,
         refresh_processes=False, refresh_period=period,
     )
     sampler.bind(model, dataset, rng=SEED)

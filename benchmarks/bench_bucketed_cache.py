@@ -1,18 +1,18 @@
 """Extension (X6) — memory-bounded bucketed array cache trade-offs.
 
 The paper's §VI names hashing as the answer to cache memory at
-million-scale KGs.  ``BucketedArrayCache`` runs that bucket scheme on the
-preallocated array engine; this benchmark measures what bounding the
+million-scale KGs.  ``ArrayNegativeCache(n_buckets=...)`` runs that bucket
+scheme on the preallocated array engine; this benchmark measures what bounding the
 memory costs and buys at the paper's defaults (N1 = N2 = 50, batch 1024):
 
 1. **memory vs precision** — allocated bytes, load factor and the
    fraction of colliding keys across bucket budgets, against the
-   unbounded array backend's ``O(n_keys * N1)`` allocation.  The
+   one-row-per-key layout's ``O(n_keys * N1)`` allocation.  The
    allocation is asserted to depend only on ``n_buckets``, never on the
    number of distinct keys.
 2. **update() throughput** — full ``NSCachingSampler.update()`` (fused
-   refresh, TransE scoring) with the bucketed backend vs the unbounded
-   array backend.  The bucket translation adds one fancy index per batch,
+   refresh, TransE scoring) with bucket rows vs one row per key.  The
+   bucket translation adds one fancy index per batch,
    so throughput must stay within ~1.2x of unbounded.
 
 Run under pytest (records wall time, writes benchmarks/out/X6.txt)::
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.bench.harness import build_model
 from repro.bench.tables import format_table
-from repro.core.bucketed import BucketedArrayCache
+from repro.core.array_cache import ArrayNegativeCache
 from repro.core.nscaching import NSCachingSampler
 from repro.data.benchmarks import fb15k_like
 from repro.data.keyindex import BucketIndex, TripleKeyIndex
@@ -66,7 +66,7 @@ def memory_precision_rows(dataset, n1, fractions=BUCKET_FRACTIONS):
     for fraction in fractions:
         n_buckets = max(1, int(n_keys * fraction))
         buckets = BucketIndex(index.head, n_buckets)
-        cache = BucketedArrayCache(
+        cache = ArrayNegativeCache(
             n1, dataset.n_entities, SEED, n_buckets=n_buckets
         )
         cache.attach_index(index.head)
@@ -91,7 +91,7 @@ def assert_allocation_independent_of_keys(n1=8, n_buckets=64):
         index = TripleKeyIndex.from_triples(
             dataset.train, dataset.n_entities, dataset.n_relations
         )
-        cache = BucketedArrayCache(
+        cache = ArrayNegativeCache(
             n1, dataset.n_entities, SEED, n_buckets=n_buckets
         )
         cache.attach_index(index.head)
@@ -100,13 +100,12 @@ def assert_allocation_independent_of_keys(n1=8, n_buckets=64):
     return allocated[0]
 
 
-def update_throughput(backend, dataset, n1, n2, batch_size, passes=PASSES,
+def update_throughput(dataset, n1, n2, batch_size, passes=PASSES,
                       n_buckets=None):
     """Triples/sec through the full fused ``update()`` with TransE."""
     model = build_model("TransE", dataset, dim=DIM, seed=SEED)
-    options = {} if n_buckets is None else {"cache_options": {"n_buckets": n_buckets}}
     sampler = NSCachingSampler(
-        cache_size=n1, candidate_size=n2, cache_backend=backend, **options
+        cache_size=n1, candidate_size=n2, n_buckets=n_buckets
     )
     sampler.bind(model, dataset, rng=SEED)
     rows = sampler.precompute_rows(dataset.train)
@@ -135,12 +134,9 @@ def run_benchmark(scale=SCALE, batch_size=PAPER_BATCH, n1=PAPER_N1,
     )
     n_buckets = max(1, int(index.head.n_keys * THROUGHPUT_FRACTION))
     per_backend = {
-        "array": update_throughput(
-            "array", dataset, n1, n2, batch_size, passes
-        ),
+        "array": update_throughput(dataset, n1, n2, batch_size, passes),
         "bucketed-array": update_throughput(
-            "bucketed-array", dataset, n1, n2, batch_size, passes,
-            n_buckets=n_buckets,
+            dataset, n1, n2, batch_size, passes, n_buckets=n_buckets
         ),
     }
     slowdown = per_backend["array"] / per_backend["bucketed-array"]

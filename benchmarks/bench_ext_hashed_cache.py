@@ -10,7 +10,6 @@ NSCaching's advantage at a fraction of the memory.
 
 from repro.bench.harness import build_model, make_config
 from repro.bench.tables import format_table
-from repro.core.hashed import HashedNegativeCache
 from repro.core.nscaching import NSCachingSampler
 from repro.data.benchmarks import wn18_like
 from repro.eval.protocol import evaluate
@@ -50,13 +49,8 @@ def test_ext_hashed_cache_memory_quality(benchmark, report):
         )
 
         for n_buckets in BUCKETS:
-            factory = (
-                lambda size, n, rng, store_scores, nb=n_buckets: HashedNegativeCache(
-                    size, n, rng, n_buckets=nb, store_scores=store_scores
-                )
-            )
             sampler = NSCachingSampler(
-                cache_size=N1, candidate_size=N2, cache_factory=factory
+                cache_size=N1, candidate_size=N2, n_buckets=n_buckets
             )
             mrr[n_buckets] = _run(dataset, sampler)
             rows.append(

@@ -5,8 +5,8 @@ cache row-space lets it run on multiple processes
 (:mod:`repro.parallel`).  This benchmark measures, at the paper defaults
 (N1 = N2 = 50, batch 1024):
 
-1. **1-worker overhead floor** — the ``sharded-array`` backend through
-   the sequential refresh vs the plain ``array`` backend: the cost of
+1. **1-worker overhead floor** — shared-memory storage (``n_shards=4``)
+   through the sequential refresh vs heap storage: the cost of
    shared-memory storage + shard bookkeeping with no parallelism to pay
    for it (must stay within ~1.25x).
 2. **scaling** — full ``NSCachingSampler.update()`` throughput across a
@@ -68,15 +68,13 @@ def _batches(n_triples: int, batch_size: int, passes: int):
             yield start
 
 
-def update_throughput(dataset, *, backend, n1, n2, batch_size, passes=PASSES,
-                      workers=1, n_shards=1, use_processes=True):
+def update_throughput(dataset, *, n1, n2, batch_size, passes=PASSES,
+                      workers=1, n_shards=None, use_processes=True):
     """Triples/sec through the full ``update()`` with TransE scoring."""
     model = build_model("TransE", dataset, dim=DIM, seed=SEED)
-    options = {"n_shards": n_shards} if backend == "sharded-array" else None
     sampler = NSCachingSampler(
-        cache_size=n1, candidate_size=n2, cache_backend=backend,
-        cache_options=options, refresh_workers=workers,
-        refresh_processes=use_processes,
+        cache_size=n1, candidate_size=n2, n_shards=n_shards,
+        refresh_workers=workers, refresh_processes=use_processes,
     )
     sampler.bind(model, dataset, rng=SEED)
     rows = sampler.precompute_rows(dataset.train)
@@ -103,11 +101,11 @@ def run_benchmark(scale=SCALE, batch_size=PAPER_BATCH, n1=PAPER_N1,
     batch_size = min(batch_size, len(dataset.train))
 
     baseline = update_throughput(
-        dataset, backend="array", n1=n1, n2=n2,
+        dataset, n1=n1, n2=n2,
         batch_size=batch_size, passes=passes,
     )
     sequential_sharded = update_throughput(
-        dataset, backend="sharded-array", n1=n1, n2=n2,
+        dataset, n1=n1, n2=n2,
         batch_size=batch_size, passes=passes, workers=1, n_shards=4,
     )
     floor = baseline / sequential_sharded
@@ -122,7 +120,7 @@ def run_benchmark(scale=SCALE, batch_size=PAPER_BATCH, n1=PAPER_N1,
     for workers in worker_grid:
         n_shards = max(workers, 4)
         throughput = update_throughput(
-            dataset, backend="sharded-array", n1=n1, n2=n2,
+            dataset, n1=n1, n2=n2,
             batch_size=batch_size, passes=passes,
             workers=max(workers, 2) if workers == 1 else workers,
             n_shards=n_shards,

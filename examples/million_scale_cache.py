@@ -10,19 +10,7 @@ Run with:  python examples/million_scale_cache.py
 """
 
 from repro import TrainConfig, Trainer, TransE, evaluate, fb15k_like
-from repro.core.hashed import HashedNegativeCache
 from repro.core.nscaching import NSCachingSampler
-
-
-def hashed_factory(n_buckets: int):
-    """A cache factory for NSCachingSampler with a fixed bucket budget."""
-
-    def factory(size, n_entities, rng, store_scores=False):
-        return HashedNegativeCache(
-            size, n_entities, rng, n_buckets=n_buckets, store_scores=store_scores
-        )
-
-    return factory
 
 
 def main() -> None:
@@ -33,16 +21,15 @@ def main() -> None:
     )
 
     settings = [("exact keys", None)] + [
-        (f"hashed {buckets} buckets", hashed_factory(buckets))
+        (f"hashed {buckets} buckets", buckets)
         for buckets in (1024, 128, 16)
     ]
     print(f"{'cache variant':22s} {'memory (KiB)':>12s} {'MRR':>8s} {'Hits@10':>8s}")
-    for label, factory in settings:
+    for label, n_buckets in settings:
         model = TransE(dataset.n_entities, dataset.n_relations, dim=32, rng=0)
-        kwargs = {"cache_size": 30, "candidate_size": 30}
-        if factory is not None:
-            kwargs["cache_factory"] = factory
-        sampler = NSCachingSampler(**kwargs)
+        sampler = NSCachingSampler(
+            cache_size=30, candidate_size=30, n_buckets=n_buckets
+        )
         Trainer(model, dataset, sampler, config).run()
         metrics = evaluate(model, dataset, "test")
         memory_kib = sampler.cache_memory_bytes() / 1024

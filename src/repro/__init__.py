@@ -10,11 +10,13 @@ The package is organised around the paper's stack (see DESIGN.md):
 * :mod:`repro.optim` — sparse SGD / AdaGrad / Adam;
 * :mod:`repro.sampling` — negative-sampling baselines (uniform, Bernoulli,
   KBGAN, IGAN, self-adversarial);
-* :mod:`repro.core` — **the contribution**: NSCaching's head/tail caches,
-  sampling and update strategies, instrumentation, hashed-cache extension;
-* :mod:`repro.parallel` — scaling: the cache row-space sharded into a
-  shared-memory ``sharded-array`` backend and epoch refreshes run on a
-  multiprocess :class:`~repro.parallel.pool.RefreshPool`;
+* :mod:`repro.core` — **the contribution**: NSCaching's head/tail caches
+  (one array engine with an optional §VI bucket row map and an optional
+  shared-memory allocator), sampling and update strategies,
+  instrumentation;
+* :mod:`repro.parallel` — scaling: shard plans over shared cache storage
+  and epoch refreshes run on a multiprocess
+  :class:`~repro.parallel.pool.RefreshPool`;
 * :mod:`repro.train` — the mini-batch trainer, callbacks, pretraining and
   grid search;
 * :mod:`repro.eval` — filtered link prediction (full and sampled
@@ -43,10 +45,6 @@ Quickstart::
 
 from repro.core import (
     ArrayNegativeCache,
-    BucketedArrayCache,
-    CacheStore,
-    HashedNegativeCache,
-    NegativeCache,
     NSCachingSampler,
     SampleStrategy,
     UpdateStrategy,
@@ -94,7 +92,7 @@ from repro.models.persistence import (
     save_model,
 )
 from repro.obs import MetricsRegistry, RunLogWriter, read_run_log
-from repro.parallel import RefreshPool, ShardPlan, ShardedCacheStore
+from repro.parallel import RefreshPool, ShardPlan
 from repro.sampling import (
     BernoulliSampler,
     IGANSampler,
@@ -118,12 +116,9 @@ __all__ = [
     "ArrayNegativeCache",
     "BernoulliSampler",
     "BucketIndex",
-    "BucketedArrayCache",
-    "CacheStore",
     "ComplEx",
     "DistMult",
     "EmbeddingSnapshot",
-    "HashedNegativeCache",
     "HolE",
     "IGANSampler",
     "KBGANSampler",
@@ -132,7 +127,6 @@ __all__ = [
     "KeyIndex",
     "MetricsRegistry",
     "NSCachingSampler",
-    "NegativeCache",
     "NegativeSampler",
     "PredictionEngine",
     "QueryCache",
@@ -142,7 +136,6 @@ __all__ = [
     "RunLogWriter",
     "SampleStrategy",
     "ShardPlan",
-    "ShardedCacheStore",
     "SelfAdversarialSampler",
     "SimplE",
     "SyntheticKGConfig",

@@ -104,7 +104,7 @@ def train_and_eval(
     """Train and return (filtered link-prediction metrics, trainer).
 
     The trainer is returned live for introspection; callers that hand in
-    pool-backed samplers (``sharded-array`` + refresh workers) own the
+    pool-backed samplers (shared caches + refresh workers) own the
     matching ``trainer.close()``.
     """
     trainer = Trainer(model, dataset, sampler, config, callbacks=callbacks)

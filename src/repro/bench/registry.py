@@ -102,7 +102,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "F8",
             "Figure 8: changed cache elements and NZL vs epoch",
             "update-strategy exploration/exploitation balance",
-            ("repro.core.stats", "repro.core.cache"),
+            ("repro.core.stats", "repro.core.array_cache"),
             "benchmarks/bench_fig8_cache_updates.py",
         ),
         Experiment(
@@ -123,7 +123,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "X1",
             "Extension: memory-bounded hashed cache (paper SVI future work)",
             "quality vs bucket budget",
-            ("repro.core.hashed",),
+            ("repro.core.array_cache", "repro.data.keyindex"),
             "benchmarks/bench_ext_hashed_cache.py",
         ),
         Experiment(
@@ -141,26 +141,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             "benchmarks/bench_serve_throughput.py",
         ),
         Experiment(
-            "X4",
-            "Extension: cache-engine throughput (array vs dict backend)",
-            "gather/CE-scatter op mix and full sample+update across batch sizes and N1/N2",
-            ("repro.core.array_cache", "repro.core.cache", "repro.data.keyindex"),
-            "benchmarks/bench_cache_engine.py",
-        ),
-        Experiment(
-            "X5",
-            "Extension: fused score-and-select cache refresh",
-            "update() ms/batch per scoring family: generic reference vs fused "
-            "score_candidates kernels at N1=N2=50, batch 1024",
-            ("repro.models.base", "repro.core.nscaching", "repro.core.strategies"),
-            "benchmarks/bench_fused_refresh.py",
-        ),
-        Experiment(
             "X6",
             "Extension: memory-bounded bucketed array cache (SVI on the fast path)",
             "allocation/collision trade-off across bucket budgets and fused "
-            "update() throughput vs the unbounded array backend at N1=N2=50",
-            ("repro.core.bucketed", "repro.data.keyindex", "repro.core.store"),
+            "update() throughput vs one row per key at N1=N2=50",
+            ("repro.core.array_cache", "repro.data.keyindex"),
             "benchmarks/bench_bucketed_cache.py",
         ),
         Experiment(
@@ -168,7 +153,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "Extension: sharded cache row-space + multiprocess epoch refresh",
             "update() throughput over an n_shards x refresh_workers grid, "
             "including the 1-worker overhead floor of shared-memory storage",
-            ("repro.parallel.plan", "repro.parallel.sharded",
+            ("repro.parallel.plan", "repro.core.array_cache",
              "repro.parallel.pool"),
             "benchmarks/bench_sharded_refresh.py",
         ),

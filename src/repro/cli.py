@@ -25,7 +25,6 @@ from typing import Sequence
 from repro.bench.harness import build_model, make_config
 from repro.bench.registry import describe_experiments
 from repro.bench.tables import format_table
-from repro.core.store import cache_backend_names
 from repro.data.benchmarks import BENCHMARKS, load_benchmark
 from repro.eval.per_relation import per_category_link_prediction
 from repro.eval.protocol import evaluate
@@ -71,29 +70,23 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--candidate-size", type=int, default=50, help="N2")
     train.add_argument("--lazy-epochs", type=int, default=0, help="lazy-update n")
     train.add_argument(
-        "--cache-backend", default="array", choices=cache_backend_names(),
-        help="NSCaching cache storage: vectorised array (default), dict, "
-             "the memory-bounded bucketed-array / hashed backends, or "
-             "sharded-array (shared memory, enables --refresh-workers)",
-    )
-    train.add_argument(
         "--n-buckets", type=_positive_int, default=None, metavar="K",
-        help="bucket rows for the memory-bounded backends (bucketed-array/"
-             "hashed, or sharded-array which then uses the bucketed inner "
-             "scheme); cache memory becomes O(K * N1) regardless of the "
-             "number of distinct keys",
+        help="hash NSCaching cache keys onto K bucket rows per cache; cache "
+             "memory becomes O(K * N1) regardless of the number of distinct "
+             "keys (default: one row per key)",
     )
     train.add_argument(
         "--n-shards", type=_positive_int, default=None, metavar="S",
-        help="contiguous shards the sharded-array backend splits the cache "
-             "row-space into (default: the worker count); shards refresh "
-             "concurrently without locking",
+        help="keep the caches in shared memory split into S contiguous "
+             "shards (default: the worker count when --refresh-workers >= "
+             "2, else heap storage); shards refresh concurrently without "
+             "locking",
     )
     train.add_argument(
         "--refresh-workers", type=_positive_int, default=1, metavar="W",
-        help="worker processes for cache refreshes (requires "
-             "--cache-backend sharded-array); 1 keeps the sequential "
-             "refresh, bit-identical to the array backend",
+        help="worker processes for cache refreshes (>= 2 implies shared "
+             "cache storage); 1 keeps the sequential refresh, bit-identical "
+             "across cache layouts",
     )
     train.add_argument(
         "--refresh-period", type=_positive_int, default=1, metavar="K",
@@ -114,11 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ship full parameter copies to refresh workers every batch "
              "instead of only optimizer-touched rows (bit-identical, "
              "slower; for A/B timing)",
-    )
-    train.add_argument(
-        "--no-fused-refresh", action="store_true",
-        help="use the unfused reference cache-refresh path (bit-identical, "
-             "slower; for debugging and A/B timing)",
     )
     train.add_argument(
         "--profile", action="store_true",
@@ -277,29 +265,13 @@ def _sampler_kwargs(args: argparse.Namespace) -> dict[str, object]:
             "cache_size": args.cache_size,
             "candidate_size": args.candidate_size,
             "lazy_epochs": args.lazy_epochs,
-            "cache_backend": args.cache_backend,
-            "fused": not args.no_fused_refresh,
+            "n_buckets": args.n_buckets,
+            "n_shards": args.n_shards,
             "refresh_workers": args.refresh_workers,
             "refresh_period": args.refresh_period,
             "refresh_overlap": args.refresh_overlap,
             "dirty_sync": not args.no_dirty_sync,
         }
-        options: dict[str, object] = {}
-        if args.n_buckets is not None:
-            options["n_buckets"] = args.n_buckets
-        if args.cache_backend == "sharded-array":
-            # Shard the row-space at least as finely as the worker count
-            # so every worker can own work; --n-shards overrides.
-            options["n_shards"] = (
-                args.n_shards if args.n_shards is not None else args.refresh_workers
-            )
-            if args.n_buckets is not None:
-                options["inner"] = "bucketed-array"
-        elif args.n_shards is not None:
-            # Rejected by option validation with the clean exit-2 path.
-            options["n_shards"] = args.n_shards
-        if options:
-            kwargs["cache_options"] = options
         return kwargs
     if args.sampler in ("KBGAN", "SelfAdv"):
         return {"candidate_size": args.candidate_size}

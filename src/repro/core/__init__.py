@@ -1,34 +1,19 @@
 """The paper's contribution: cache-based negative sampling.
 
-* :mod:`repro.core.store` — the :class:`CacheStore` protocol all cache
-  backends implement, and the options-aware backend registry;
-* :mod:`repro.core.array_cache` — preallocated array cache, the fully
-  vectorised default backend;
-* :mod:`repro.core.cache` — the dict-of-arrays head/tail negative cache
-  (ids only, §III-B3; reference backend);
+* :mod:`repro.core.array_cache` — :class:`ArrayNegativeCache`, the one
+  cache engine: ``N1`` entity ids per key row (§III-B3) in a
+  preallocated block, with an optional §VI bucket row map
+  (``n_buckets``) and an optional shared-memory allocator
+  (``n_shards``);
 * :mod:`repro.core.strategies` — sample-from-cache and update-cache
   strategies with the exploration/exploitation trade-offs of Figure 6;
 * :mod:`repro.core.nscaching` — :class:`NSCachingSampler`, Algorithms 2-3;
-* :mod:`repro.core.hashed` — memory-bounded hashed cache (§VI future
-  work; dict-bucket reference);
-* :mod:`repro.core.bucketed` — the same bucket scheme on the array
-  engine: bounded memory *and* vectorised access;
 * :mod:`repro.core.stats` — RR / NZL / CE instrumentation (Figures 7-8).
 """
 
 from repro.core.array_cache import ArrayNegativeCache, multiset_overlap_rows
-from repro.core.bucketed import BucketedArrayCache
-from repro.core.cache import NegativeCache
-from repro.core.hashed import HashedNegativeCache, stable_key_hash
 from repro.core.nscaching import NSCachingSampler
 from repro.core.stats import EpochSeries, NegativeTracker
-from repro.core.store import (
-    CACHE_BACKENDS,
-    CacheStore,
-    cache_backend_names,
-    make_cache_backend,
-    register_backend,
-)
 from repro.core.strategies import (
     SampleStrategy,
     UpdateStrategy,
@@ -39,22 +24,13 @@ from repro.core.strategies import (
 
 __all__ = [
     "ArrayNegativeCache",
-    "BucketedArrayCache",
-    "CACHE_BACKENDS",
-    "CacheStore",
     "EpochSeries",
-    "HashedNegativeCache",
     "NSCachingSampler",
-    "NegativeCache",
     "NegativeTracker",
     "SampleStrategy",
     "UpdateStrategy",
-    "cache_backend_names",
     "duplicate_mask",
-    "make_cache_backend",
     "multiset_overlap_rows",
-    "register_backend",
     "sample_from_cache",
     "select_cache_survivors",
-    "stable_key_hash",
 ]

@@ -1,35 +1,69 @@
-"""Array-backed negative cache: the NSCaching hot loop as pure numpy.
+"""The negative cache (paper §III-B): one preallocated numpy engine.
 
-The dict cache of :mod:`repro.core.cache` pays Python-level costs per key
-per batch: tuple construction, dict lookups, a per-row ``put`` loop and a
-pure-Python multiset walk for the CE metric.  This module stores the whole
-cache as one preallocated block instead::
+NSCaching keeps a *head cache* ``H`` indexed by ``(r, t)`` and a *tail
+cache* ``T`` indexed by ``(h, r)``; each entry holds ``N1`` entity ids
+(only indices are stored, §III-B3).  :class:`ArrayNegativeCache` stores a
+whole cache as one block::
 
-    ids    : int64  [n_keys, N1]   cached entity ids, one row per key
-    scores : float64[n_keys, N1]   optional (IS/top sampling only)
-    _live  : bool   [n_keys]       which rows have been initialised
+    ids    : int64  [n_rows, N1]   cached entity ids
+    scores : float64[n_rows, N1]   optional (IS/top sampling only)
+    _live  : bool   [n_rows]       which rows have been initialised
 
-Rows are addressed by the dense indices of a
+Callers address it by the dense key rows of a
 :class:`~repro.data.keyindex.KeyIndex` (attached once at bind time), so a
 batch access is a single fancy-index ``gather`` and a refresh is a single
-``scatter`` — zero per-row Python.  Lazy random initialisation draws from
-the generator in first-occurrence order, which keeps the RNG stream
-bit-identical to the dict cache's per-key draws: both backends produce the
-same training trajectory from the same seed.
+``scatter`` — zero per-row Python.  Two independent constructor choices
+fix the layout:
+
+* **row map** — ``n_buckets=None`` stores one row per distinct key;
+  ``n_buckets=K`` hashes keys onto ``K`` rows through a
+  :class:`~repro.data.keyindex.BucketIndex` (the §VI memory bound:
+  storage is ``O(K * N1)`` whatever the number of keys, and colliding
+  keys share a row);
+* **allocator** — ``n_shards=None`` allocates on the heap;
+  ``n_shards=S`` allocates ``multiprocessing.shared_memory`` segments
+  (:class:`~repro.parallel.sharded.SharedArrayBlock`) and overlays a
+  :class:`~repro.parallel.plan.ShardPlan` of ``S`` contiguous ranges on
+  the storage rows, so :class:`~repro.parallel.pool.RefreshPool` workers
+  can refresh disjoint shards of one batch concurrently.  The owner must
+  :meth:`~ArrayNegativeCache.close` the segments.
+
+Neither choice changes access semantics beyond the row map: every layout
+is bit-identical to its heap sibling under a seed (property-tested).
+Lazy random initialisation draws from the generator in first-occurrence
+order, which keeps the RNG stream bit-identical to a per-key dict cache's
+lazy draws (the dict oracles in ``tests/cache_oracles.py`` pin this).
 
 The CE metric (changed cache elements, Figure 8) is computed for a whole
-batch at once by :func:`multiset_overlap_rows`, an exact vectorised
-replacement for the per-entry Python merge walk.
+batch at once by :func:`multiset_overlap_rows`, or taken from the fused
+refresh's caller-derived hint.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.data.keyindex import KeyIndex
+from repro.data.keyindex import BucketIndex, KeyIndex
 from repro.utils.rng import ensure_rng
 
+if TYPE_CHECKING:  # runtime imports stay lazy: repro.parallel imports this module
+    from repro.parallel.plan import ShardPlan
+    from repro.parallel.sharded import SharedArrayBlock
+
 __all__ = ["ArrayNegativeCache", "multiset_overlap_rows"]
+
+
+def layout_count(name: str, value: int | None) -> int | None:
+    """Validate an optional ``n_buckets``/``n_shards`` count (int >= 1)."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if int(value) < 1:
+        raise ValueError(f"{name} must be >= 1, got {int(value)}")
+    return int(value)
 
 
 def _occurrence_rank(sorted_rows: np.ndarray) -> np.ndarray:
@@ -50,8 +84,8 @@ def _occurrence_rank(sorted_rows: np.ndarray) -> np.ndarray:
 def multiset_overlap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise multiset intersection sizes of two ``[B, N]`` id arrays.
 
-    Exact vectorised equivalent of running
-    :func:`repro.core.cache._multiset_overlap` on every row pair.
+    Exact vectorised equivalent of a per-row sorted merge walk over the
+    two id multisets.
 
     Method: tag every element with its occurrence rank among equal values
     in its (sorted) row.  ``(row, value, rank)`` records are unique within
@@ -104,19 +138,13 @@ def multiset_overlap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class ArrayNegativeCache:
-    """A preallocated, fully vectorised negative cache (CacheStore).
+    """A preallocated, fully vectorised negative cache.
 
-    Construction mirrors :class:`~repro.core.cache.NegativeCache` (so both
-    fit the same ``cache_factory`` signature); storage is allocated when a
-    :class:`~repro.data.keyindex.KeyIndex` is attached, which fixes the
-    number of rows.
+    Storage is allocated when a :class:`~repro.data.keyindex.KeyIndex` is
+    attached, which fixes the number of rows (the key count, or
+    ``n_buckets``).  See the module docstring for the row map and the
+    allocator.
     """
-
-    #: This backend honours a caller-derived ``changed=`` CE hint on
-    #: :meth:`scatter` (skipping the multiset sort).  Callers check this
-    #: before paying for the derivation — the dict backends recount
-    #: regardless, so computing a hint for them would be pure waste.
-    consumes_changed_hint = True
 
     def __init__(
         self,
@@ -125,6 +153,8 @@ class ArrayNegativeCache:
         rng: np.random.Generator | int | None = None,
         *,
         store_scores: bool = False,
+        n_buckets: int | None = None,
+        n_shards: int | None = None,
     ) -> None:
         if size <= 0:
             raise ValueError(f"cache size N1 must be > 0, got {size}")
@@ -133,35 +163,56 @@ class ArrayNegativeCache:
         self.size = int(size)
         self.n_entities = int(n_entities)
         self.store_scores = bool(store_scores)
+        self.n_buckets = layout_count("n_buckets", n_buckets)
+        self.n_shards = layout_count("n_shards", n_shards)
         self.rng = ensure_rng(rng)
         self._index: KeyIndex | None = None
+        self._buckets: BucketIndex | None = None
         self._ids: np.ndarray | None = None
         self._scores: np.ndarray | None = None
         self._live: np.ndarray | None = None
+        #: Shard partition of the storage rows (shared layout, after attach).
+        self.plan: ShardPlan | None = None
+        self._blocks: list[SharedArrayBlock] = []
         #: Total cache elements replaced since construction (the CE metric).
         self.changed_elements = 0
         #: Number of entries created lazily.
         self.initialised_entries = 0
 
     # -- lifecycle -----------------------------------------------------------
-    def _storage_rows(self, index: KeyIndex) -> int:
-        """Rows to preallocate: one per distinct key (subclasses may bound
-        this — the bucketed backend allocates ``n_buckets`` instead)."""
-        return index.n_keys
-
     def _alloc(self, shape: tuple[int, ...], dtype: type) -> np.ndarray:
-        """Allocate one storage block (hook: the sharded backend allocates
-        ``multiprocessing.shared_memory`` segments here instead)."""
-        return np.zeros(shape, dtype=dtype)
+        """Allocate one zeroed storage block on the heap or in shared memory."""
+        if self.n_shards is None:
+            return np.zeros(shape, dtype=dtype)
+        from repro.parallel.sharded import SharedArrayBlock
+
+        block = SharedArrayBlock(shape, dtype)
+        self._blocks.append(block)
+        assert block.array is not None
+        return block.array
 
     def attach_index(self, index: KeyIndex) -> None:
-        """Bind the key→row map and preallocate storage for its rows."""
+        """Bind the key→row map and preallocate storage for its rows.
+
+        Re-attaching replaces the storage (and releases any previous
+        shared-memory segments).
+        """
+        self.close()
         self._index = index
-        n_rows = self._storage_rows(index)
+        n_rows = index.n_keys
+        if self.n_buckets is not None:
+            # The memory bound: allocation is O(n_buckets * N1) independent
+            # of the number of distinct keys.
+            self._buckets = BucketIndex(index, self.n_buckets)
+            n_rows = self.n_buckets
         self._ids = self._alloc((n_rows, self.size), np.int64)
         self._live = self._alloc((n_rows,), bool)
         if self.store_scores:
             self._scores = self._alloc((n_rows, self.size), np.float64)
+        if self.n_shards is not None:
+            from repro.parallel.plan import ShardPlan
+
+            self.plan = ShardPlan(n_rows, self.n_shards)
 
     def attach_storage(
         self,
@@ -176,6 +227,8 @@ class ArrayNegativeCache:
         the parent's shared-memory blocks: gather/scatter then operate on
         the shared rows directly.  ``index`` may be ``None`` when only
         row-addressed access is needed (key-addressed probes then raise).
+        The view addresses storage rows, so it is built without
+        ``n_buckets``.
         """
         if ids.ndim != 2 or ids.shape[1] != self.size:
             raise ValueError(f"ids must have shape [n_rows, {self.size}], got {ids.shape}")
@@ -194,6 +247,22 @@ class ArrayNegativeCache:
         self._live = live
         self._scores = scores if self.store_scores else None
 
+    def close(self) -> None:
+        """Release the shared-memory segments (idempotent; heap: no-op).
+
+        After closing, gather/scatter and the shard introspection raise
+        until a new index is attached.
+        """
+        if not self._blocks:
+            return
+        self._ids = None
+        self._live = None
+        self._scores = None
+        self.plan = None
+        blocks, self._blocks = self._blocks, []
+        for block in blocks:
+            block.release()
+
     def _require_index(self) -> KeyIndex | None:
         if self._ids is None or self._live is None:
             raise RuntimeError(
@@ -202,23 +271,28 @@ class ArrayNegativeCache:
             )
         return self._index
 
-    # -- access --------------------------------------------------------------
+    # -- access (dense key rows in, storage rows under the hood) ---------------
     def storage_rows(self, rows: np.ndarray) -> np.ndarray:
         """Translate dense key rows to the rows actually stored.
 
-        The identity here (one storage row per key); the bucketed backend
-        returns bucket rows.  This is the row-space that
+        The identity for one row per key; bucket rows with ``n_buckets``
+        (colliding keys share a row).  This is the row-space that
         :class:`~repro.parallel.plan.ShardPlan` partitions and that CE
         repeat-write semantics are defined over.
         """
-        return np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)
+        if self.n_buckets is None:
+            return rows
+        self._require_index()
+        assert self._buckets is not None
+        return self._buckets.bucket_rows(rows)
 
     def _materialise(self, rows: np.ndarray) -> None:
-        """Random-init any not-yet-live rows, in first-occurrence order.
+        """Random-init any not-yet-live storage rows, in first-occurrence order.
 
         First-occurrence order (not sorted order) matters: it makes the
-        generator consume draws exactly as the dict cache's lazy per-key
-        ``get`` does, keeping the two backends bit-identical under a seed.
+        generator consume draws exactly as a dict cache's lazy per-key
+        ``get`` does, keeping the two bit-identical under a seed.
         """
         assert self._ids is not None and self._live is not None
         pending = rows[~self._live[rows]]
@@ -232,28 +306,34 @@ class ArrayNegativeCache:
         self._live[uniq] = True
         self.initialised_entries += len(uniq)
 
+    def _gather_stored(self, stored: np.ndarray) -> np.ndarray:
+        self._require_index()
+        self._materialise(stored)
+        assert self._ids is not None
+        return self._ids[stored]
+
+    def _gather_stored_scores(self, stored: np.ndarray) -> np.ndarray:
+        if not self.store_scores:
+            raise RuntimeError("cache was built with store_scores=False")
+        self._require_index()
+        self._materialise(stored)
+        assert self._scores is not None
+        return self._scores[stored]
+
     def gather(self, rows: np.ndarray) -> np.ndarray:
-        """Cached ids for a batch of rows; shape ``[len(rows), N1]``.
+        """Cached ids for a batch of key rows; shape ``[len(rows), N1]``.
 
         Rows never touched before are random-initialised first (the
         paper's from-scratch init).  The result is a copy — mutating it
         cannot corrupt cache state.
         """
-        self._require_index()
-        rows = np.asarray(rows, dtype=np.int64)
-        self._materialise(rows)
-        assert self._ids is not None
-        return self._ids[rows]
+        return self._gather_stored(self.storage_rows(rows))
 
     def gather_scores(self, rows: np.ndarray) -> np.ndarray:
-        """Stored scores for a batch of rows (zeros until first refresh)."""
+        """Stored scores for a batch of key rows (zeros until first refresh)."""
         if not self.store_scores:
             raise RuntimeError("cache was built with store_scores=False")
-        self._require_index()
-        rows = np.asarray(rows, dtype=np.int64)
-        self._materialise(rows)
-        assert self._scores is not None
-        return self._scores[rows]
+        return self._gather_stored_scores(self.storage_rows(rows))
 
     # -- mutation ------------------------------------------------------------
     def scatter(
@@ -264,23 +344,24 @@ class ArrayNegativeCache:
         *,
         changed: int | None = None,
     ) -> int:
-        """Replace the entries at ``rows``; returns #elements that changed.
+        """Replace the entries at key ``rows``; returns #elements that changed.
 
-        Semantically equivalent to calling the dict cache's ``put`` once
-        per row in order: when a batch repeats a row, each write's CE is
-        counted against the *previous* write, and the last write wins.
+        Semantically equivalent to one sequential per-row ``put``: when a
+        batch repeats a storage row (the same key twice, or colliding
+        keys under ``n_buckets``), each write's CE is counted against the
+        *previous* write, and the last write wins.
 
         ``changed`` is an optional caller-derived CE count (the fused
         refresh computes it from the selection's column structure, see
         :func:`~repro.core.strategies.selection_changed_elements`).  When
         given, the scatter-side multiset sort is skipped entirely; the
-        caller guarantees ``rows`` are unique and were gathered (hence
-        live) in the same refresh — exactly the conditions under which
-        the column derivation is exact.
+        caller guarantees the *storage* rows are unique and were gathered
+        (hence live) in the same refresh — exactly the conditions under
+        which the column derivation is exact.
         """
         self._require_index()
         assert self._ids is not None and self._live is not None
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = self.storage_rows(rows)
         ids = np.asarray(ids, dtype=np.int64)
         if ids.shape != (len(rows), self.size):
             raise ValueError(
@@ -342,43 +423,50 @@ class ArrayNegativeCache:
         return changed
 
     # -- key-addressed access (probing / callbacks) ---------------------------
-    def _require_keyed_index(self) -> KeyIndex:
+    def _stored_row_of(self, key: tuple[int, int]) -> np.ndarray:
+        """The storage row of one ``(id, id)`` key, as a 1-element array.
+
+        With ``n_buckets`` hashing serves *any* key, indexed or not.
+        """
         index = self._require_index()
+        if self._buckets is not None:
+            return np.array([self._buckets.bucket_of(key)], dtype=np.int64)
         if index is None:
             raise RuntimeError(
                 "storage-attached cache has no key index; only row-addressed "
                 "gather/scatter is available"
             )
-        return index
+        return np.array([index.row_of(key)], dtype=np.int64)
 
     def get(self, key: tuple[int, int]) -> np.ndarray:
         """Entity ids cached under a ``(id, id)`` key (a copy)."""
-        index = self._require_keyed_index()
-        return self.gather(np.array([index.row_of(key)], dtype=np.int64))[0]
+        return self._gather_stored(self._stored_row_of(key))[0]
 
     def scores(self, key: tuple[int, int]) -> np.ndarray:
         """Stored scores under a ``(id, id)`` key (a copy)."""
-        index = self._require_keyed_index()
-        return self.gather_scores(np.array([index.row_of(key)], dtype=np.int64))[0]
+        if not self.store_scores:
+            raise RuntimeError("cache was built with store_scores=False")
+        return self._gather_stored_scores(self._stored_row_of(key))[0]
 
     def __contains__(self, key: tuple[int, int]) -> bool:
-        if self._index is None or self._live is None:
+        if self._live is None:
             return False
-        if not self._index.contains(key):
+        if self._buckets is not None:
+            return bool(self._live[self._buckets.bucket_of(key)])
+        if self._index is None or not self._index.contains(key):
             return False
         return bool(self._live[self._index.row_of(key)])
 
     # -- introspection ---------------------------------------------------------
     @property
     def n_entries(self) -> int:
-        """Number of initialised cache rows."""
+        """Number of initialised storage rows."""
         return int(self._live.sum()) if self._live is not None else 0
 
     def live_fraction(self) -> float:
         """Initialised fraction of the allocated row-space, in [0, 1].
 
-        The array-scheme analogue of the bucketed backend's load factor:
-        how much of the preallocated block has been touched.  0.0 before
+        How much of the preallocated block has been touched; 0.0 before
         storage is attached.
         """
         if self._live is None or len(self._live) == 0:
@@ -386,8 +474,16 @@ class ArrayNegativeCache:
         return self.n_entries / len(self._live)
 
     def keys(self) -> list[tuple[int, int]]:
-        """Keys of all initialised rows."""
-        if self._index is None or self._live is None:
+        """Keys of all initialised rows.
+
+        With ``n_buckets`` these are synthetic ``(bucket, 0)`` keys —
+        real keys map many-to-one onto buckets.
+        """
+        if self._live is None:
+            return []
+        if self._buckets is not None:
+            return [(int(bucket), 0) for bucket in np.flatnonzero(self._live)]
+        if self._index is None:
             return []
         pairs = self._index.keys()[self._live]
         return [(int(a), int(b)) for a, b in pairs]
@@ -395,11 +491,12 @@ class ArrayNegativeCache:
     def memory_bytes(self) -> int:
         """Bytes held by *initialised* entries (the paper's O(|S|·N1) figure).
 
-        Comparable across backends; :meth:`allocated_bytes` reports the
-        preallocated block.
+        :meth:`allocated_bytes` reports the preallocated block.
         """
-        per_row = self.size * 8 * (2 if self.store_scores else 1)
-        return self.n_entries * per_row
+        return self.n_entries * self._row_bytes()
+
+    def _row_bytes(self) -> int:
+        return self.size * 8 * (2 if self.store_scores else 1)
 
     def allocated_bytes(self) -> int:
         """Actual bytes of the preallocated arrays (0 before attach)."""
@@ -408,6 +505,72 @@ class ArrayNegativeCache:
         total += self._live.nbytes if self._live is not None else 0
         return total
 
+    # -- bucket introspection (n_buckets) -----------------------------------------
+    def _require_buckets(self) -> BucketIndex:
+        # Collision stats need only the bucket index, not live storage —
+        # they stay readable after shared segments were released.
+        if self._buckets is None:
+            raise RuntimeError(
+                "cache has no bucket index; build it with n_buckets= and "
+                "call attach_index(KeyIndex) before bucket introspection"
+            )
+        return self._buckets
+
+    def load_factor(self) -> float:
+        """Mean indexed keys per bucket (``n_keys / n_buckets``)."""
+        return self._require_buckets().load_factor()
+
+    def n_colliding_keys(self) -> int:
+        """Indexed keys sharing their bucket with at least one other key."""
+        return self._require_buckets().n_colliding_keys()
+
+    def memory_bound_bytes(self) -> int:
+        """Worst-case memory if every bucket materialises (the §VI bound)."""
+        if self.n_buckets is None:
+            raise RuntimeError("memory_bound_bytes needs n_buckets=")
+        return self.n_buckets * self._row_bytes()
+
+    # -- shard introspection (n_shards) --------------------------------------------
+    def _require_plan(self) -> ShardPlan:
+        if self.plan is None:
+            raise RuntimeError(
+                "cache has no shard plan; build it with n_shards= and call "
+                "attach_index first"
+            )
+        return self.plan
+
+    def shard_occupancy(self) -> np.ndarray:
+        """Initialised (live) storage rows per shard; shape ``[n_shards]``."""
+        plan = self._require_plan()
+        assert self._live is not None
+        return plan.occupancy_of(np.flatnonzero(self._live))
+
+    def shard_key_ownership(self) -> np.ndarray:
+        """Distinct cache keys whose storage row each shard owns.
+
+        One row per key: the shard's row count.  With ``n_buckets``: the
+        number of keys hashing into the shard's bucket range (collisions
+        make it exceed the row count).
+        """
+        plan = self._require_plan()
+        assert self._index is not None
+        return plan.occupancy_of(
+            self.storage_rows(np.arange(self._index.n_keys, dtype=np.int64))
+        )
+
+    def worker_layout(self) -> dict[str, object]:
+        """The pieces a refresh worker needs to view this cache's rows."""
+        self._require_plan()
+        return {
+            "ids": self._ids,
+            "live": self._live,
+            "scores": self._scores,
+            "plan": self.plan,
+            "size": self.size,
+            "store_scores": self.store_scores,
+        }
+
+    # -- counters ------------------------------------------------------------------
     def reset_counters(self) -> None:
         """Zero the CE / initialisation counters (per-epoch accounting)."""
         self.changed_elements = 0
@@ -418,7 +581,12 @@ class ArrayNegativeCache:
 
     def __repr__(self) -> str:
         n_keys = self._index.n_keys if self._index is not None else 0
+        layout = "".join(
+            f", {name}={value}"
+            for name, value in (("n_buckets", self.n_buckets), ("n_shards", self.n_shards))
+            if value is not None
+        )
         return (
-            f"ArrayNegativeCache(size={self.size}, n_keys={n_keys}, "
+            f"ArrayNegativeCache(size={self.size}, n_keys={n_keys}{layout}, "
             f"entries={self.n_entries}, store_scores={self.store_scores})"
         )

@@ -19,24 +19,28 @@ dividing its cost by ``n + 1`` (Table I).
 Hot-loop layout: at :meth:`bind` time the distinct cache keys of the
 training split are enumerated once into a
 :class:`~repro.data.keyindex.TripleKeyIndex`, and both caches are
-addressed by dense row indices through the
-:class:`~repro.core.store.CacheStore` protocol.  A batch access is then
-one vectorised ``gather`` and a refresh one ``scatter`` — no per-triple
-Python tuples or loops.  The trainer can precompute the row indices of the
-whole split once (:meth:`precompute_rows`) and pass per-batch slices in.
+addressed by dense row indices of one
+:class:`~repro.core.array_cache.ArrayNegativeCache` each.  A batch access
+is then one vectorised ``gather`` and a refresh one ``scatter`` — no
+per-triple Python tuples or loops.  The trainer can precompute the row
+indices of the whole split once (:meth:`precompute_rows`) and pass
+per-batch slices in.  ``n_buckets`` bounds the caches' memory by hashing
+keys onto a fixed number of rows (§VI), and shared storage
+(``n_shards``, or ``refresh_workers >= 2``) moves the rows into shared
+memory; neither changes the refresh below.
 
-The refresh itself (Alg. 3) runs **fused** by default: the candidate
-union is assembled in a persistent per-sampler buffer, scored in one shot
-through the model's :meth:`~repro.models.base.KGEModel.score_candidates`
-kernel, and the top-``N1`` survivors go straight from ``argpartition``
-into the cache ``scatter`` — no intermediate concatenate/score-gather
-copies.  ``fused=False`` keeps the step-by-step reference orchestration;
-both paths consume the generator identically and call the same scoring
-kernel, so they are bit-identical under a fixed seed (enforced by the
-parity suite in ``tests/integration/test_backend_parity.py``).
+The refresh itself (Alg. 3) is **fused**: the candidate union is
+assembled in a persistent per-sampler buffer, scored in one shot through
+the model's :meth:`~repro.models.base.KGEModel.score_candidates` kernel,
+and the top-``N1`` survivors go straight from ``argpartition`` into the
+cache ``scatter`` — no intermediate concatenate/score-gather copies, and
+the CE count comes from the selection's column structure instead of a
+multiset sort.  The step-by-step concatenate → score → select → scatter
+orchestration lives on as a test oracle, bit-identical under a fixed seed
+(``tests/integration/test_backend_parity.py``).
 
-With ``refresh_workers >= 2`` (and the ``sharded-array`` backend) the
-refresh instead runs on a :class:`~repro.parallel.pool.RefreshPool`:
+With ``refresh_workers >= 2`` the refresh instead runs on a
+:class:`~repro.parallel.pool.RefreshPool`:
 each batch is split by the cache's shard plan and every touched shard's
 slice is refreshed by a worker process against shared-memory storage,
 drawing from its own ``(seed, mode, shard, epoch, batch)`` stream —
@@ -57,19 +61,14 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # runtime imports stay lazy to keep repro.parallel optional
-    from repro.parallel.pool import ShardResult, ShardTask, SyncReport
+    from repro.parallel.pool import RefreshPool, ShardResult, ShardTask, SyncReport
 
 import numpy as np
 
-from repro.core.store import (
-    CacheStore,
-    cache_backend_names,
-    make_cache_backend,
-    validate_backend_options,
-)
+from repro.core.array_cache import ArrayNegativeCache, layout_count
 from repro.core.strategies import (
     SampleStrategy,
     UpdateStrategy,
@@ -87,8 +86,6 @@ from repro.sampling.base import NegativeSampler
 from repro.utils.timer import Timer
 
 __all__ = ["BatchRows", "NSCachingSampler"]
-
-CacheFactory = Callable[..., CacheStore]
 
 _NULL_CONTEXT = nullcontext()
 
@@ -207,10 +204,9 @@ class NSCachingSampler(NegativeSampler):
         update_strategy: UpdateStrategy | str = UpdateStrategy.IMPORTANCE,
         lazy_epochs: int = 0,
         bernoulli: bool = True,
-        cache_backend: str = "array",
-        cache_options: Mapping[str, object] | None = None,
-        cache_factory: CacheFactory | None = None,
-        fused: bool = True,
+        cache_backend: str | None = None,
+        n_buckets: int | None = None,
+        n_shards: int | None = None,
         refresh_workers: int = 1,
         refresh_processes: bool = True,
         refresh_period: int = 1,
@@ -233,37 +229,30 @@ class NSCachingSampler(NegativeSampler):
         bernoulli:
             Use the relation-aware head/tail coin (paper §IV-B1).
         cache_backend:
-            A registered backend name: ``"array"`` (vectorised, default),
-            ``"dict"`` (the original per-key store), or the
-            memory-bounded §VI pair ``"bucketed-array"`` (vectorised) /
-            ``"hashed"`` (dict reference).  Same-scheme backends yield
-            bit-identical training under a fixed seed; array variants are
-            the fast paths.
-        cache_options:
-            Backend-specific constructor options forwarded to
-            :func:`~repro.core.store.make_cache_backend` — e.g.
-            ``{"n_buckets": 4096}`` for the memory-bounded backends.
-            Validated here so an unsupported option fails before binding.
-        cache_factory:
-            Alternative cache constructor for unregistered backends.
-            Overrides ``cache_backend`` (and rejects ``cache_options``).
-        fused:
-            Run the Alg. 3 refresh through the fused score-and-select
-            path (default).  ``False`` keeps the unfused reference
-            orchestration — same kernels, same RNG stream, bit-identical
-            results; it exists for parity testing and benchmarking.
-            Sequential path only: rejected with ``refresh_workers > 1``
-            (pool workers always run the fused kernel).
+            Optional consistency check, not a selector: the layout name
+            the arguments below imply — ``"array"`` (heap storage) or
+            ``"sharded-array"`` (shared storage).  Any other value, or a
+            mismatch, raises ``ValueError``.
+        n_buckets:
+            Hash cache keys onto this many rows per cache (the §VI
+            memory bound: ``O(n_buckets * N1)`` whatever the key count;
+            colliding keys share a row).  ``None`` keeps one row per key.
+        n_shards:
+            Keep the caches in shared memory, split into this many
+            contiguous shards.  Storage is shared exactly when this is
+            given or ``refresh_workers >= 2``; it then defaults to the
+            worker count.  With one worker the sequential refresh runs
+            against the shared rows, bit-identical to heap storage.
         refresh_workers:
             ``>= 2`` runs cache refreshes on a
             :class:`~repro.parallel.pool.RefreshPool` of that many worker
-            processes (requires ``cache_backend="sharded-array"``).  Each
+            processes (implies shared storage, see ``n_shards``).  Each
             shard's slice draws from its own ``(seed, mode, shard, epoch,
             batch)`` stream, so results are deterministic and independent
             of the worker count — but a *different* (equally valid)
             trajectory than the sequential single-stream path.  The
-            default ``1`` keeps the sequential refresh, bit-identical to
-            the ``array`` backend under a fixed seed.
+            default ``1`` keeps the sequential refresh, bit-identical
+            across layouts under a fixed seed.
         refresh_processes:
             ``False`` makes the parallel refresh run its shard tasks
             inline in this process (the deterministic fallback) instead
@@ -304,20 +293,6 @@ class NSCachingSampler(NegativeSampler):
             raise ValueError(f"lazy_epochs must be >= 0, got {lazy_epochs}")
         if refresh_workers < 1:
             raise ValueError(f"refresh_workers must be >= 1, got {refresh_workers}")
-        if refresh_workers > 1 and (
-            cache_factory is not None or cache_backend != "sharded-array"
-        ):
-            raise ValueError(
-                "refresh_workers > 1 requires cache_backend='sharded-array' "
-                "(worker processes need shared-memory storage and a shard "
-                f"plan); got backend {cache_backend!r}"
-            )
-        if refresh_workers > 1 and not fused:
-            raise ValueError(
-                "refresh_workers > 1 always runs the fused refresh kernel in "
-                "its workers; fused=False (--no-fused-refresh) only applies "
-                "to the sequential path"
-            )
         if refresh_period < 1:
             raise ValueError(
                 f"refresh_period must be >= 1, got {refresh_period}"
@@ -327,35 +302,35 @@ class NSCachingSampler(NegativeSampler):
                 "refresh_overlap requires refresh_workers >= 2 (the overlap "
                 "dispatch/collect pipeline only exists on the pooled path)"
             )
-        if cache_factory is None:
-            if cache_backend not in cache_backend_names():
-                raise ValueError(
-                    f"cache_backend must be one of {cache_backend_names()}, "
-                    f"got {cache_backend!r}"
-                )
-            validate_backend_options(cache_backend, dict(cache_options or {}))
-        elif cache_options:
+        n_buckets = layout_count("n_buckets", n_buckets)
+        n_shards = layout_count("n_shards", n_shards)
+        if n_shards is None and refresh_workers > 1:
+            n_shards = refresh_workers
+        layout = "array" if n_shards is None else "sharded-array"
+        if cache_backend is not None and cache_backend != layout:
             raise ValueError(
-                "cache_options only applies to registered backends; pass "
-                "them to your cache_factory directly"
+                f"cache_backend={cache_backend!r} does not match the derived "
+                f"layout {layout!r}: the layout is chosen by n_buckets= (bucket "
+                "rows) and n_shards= or refresh_workers >= 2 (shared memory); "
+                "cache_backend may only restate 'array' or 'sharded-array'"
             )
         self.cache_size = int(cache_size)
         self.candidate_size = int(candidate_size)
         self.sample_strategy = SampleStrategy(sample_strategy)
         self.update_strategy = UpdateStrategy(update_strategy)
         self.lazy_epochs = int(lazy_epochs)
-        self.cache_backend = cache_backend if cache_factory is None else "custom"
-        self.cache_options: dict[str, object] = dict(cache_options or {})
-        self._cache_factory = cache_factory
-        self.fused = bool(fused)
+        #: The derived layout name, ``"array"`` or ``"sharded-array"``.
+        self.cache_backend = layout
+        self.n_buckets = n_buckets
+        self.n_shards = n_shards
         self.refresh_workers = int(refresh_workers)
         self.refresh_processes = bool(refresh_processes)
         self.refresh_period = int(refresh_period)
         self.refresh_overlap = bool(refresh_overlap)
         self.dirty_sync = bool(dirty_sync)
         self.key_index: TripleKeyIndex | None = None
-        self.head_cache: CacheStore | None = None
-        self.tail_cache: CacheStore | None = None
+        self.head_cache: ArrayNegativeCache | None = None
+        self.tail_cache: ArrayNegativeCache | None = None
         #: Optional stopwatch the trainer attaches under ``--profile`` to
         #: time candidate scoring separately from the rest of the refresh.
         self.score_timer: Timer | None = None
@@ -372,25 +347,21 @@ class NSCachingSampler(NegativeSampler):
         self._metrics: MetricsRegistry | None = None
         self._mh: _RefreshMetrics | None = None  # pre-resolved handles
         self._union: np.ndarray | None = None  # fused-path candidate buffer
-        self._pool = None  # RefreshPool, created lazily on first parallel update
+        self._pool: RefreshPool | None = None  # created on first parallel update
         self._pool_seed: int | None = None
         self._epoch_batch = 0  # per-epoch update counter for task streams
         #: Modes of the in-flight overlapped dispatch (None = nothing pending).
         self._pending_modes: tuple[str, ...] | None = None
 
     # -- lifecycle ------------------------------------------------------------
-    def _make_cache(self, n_entities: int, store_scores: bool) -> CacheStore:
-        if self._cache_factory is not None:
-            return self._cache_factory(
-                self.cache_size, n_entities, self.rng, store_scores=store_scores
-            )
-        return make_cache_backend(
-            self.cache_backend,
+    def _make_cache(self, n_entities: int, store_scores: bool) -> ArrayNegativeCache:
+        return ArrayNegativeCache(
             self.cache_size,
             n_entities,
             self.rng,
             store_scores=store_scores,
-            **self.cache_options,
+            n_buckets=self.n_buckets,
+            n_shards=self.n_shards,
         )
 
     def bind(
@@ -417,7 +388,7 @@ class NSCachingSampler(NegativeSampler):
         if self.refresh_workers > 1:
             # One draw reserved for the pool's task streams.  Taken only in
             # parallel mode, so the 1-worker stream stays bit-identical to
-            # the plain array backend's.
+            # heap storage's.
             self._pool_seed = int(self.rng.integers(0, 2**63 - 1))
         return self
 
@@ -438,9 +409,8 @@ class NSCachingSampler(NegativeSampler):
             self._pool.close()
             self._pool = None
         for cache in (self.head_cache, self.tail_cache):
-            release = getattr(cache, "close", None)
-            if callable(release):
-                release()
+            if cache is not None:
+                cache.close()
 
     def on_epoch_start(self, epoch: int) -> None:
         """Epoch notification; also restarts the per-epoch batch counter."""
@@ -494,7 +464,7 @@ class NSCachingSampler(NegativeSampler):
         ``batch`` must come from the training split the sampler was bound
         to: cache storage is preallocated per distinct train-split key, so
         a triple whose ``(r, t)`` / ``(h, r)`` pair never occurs in train
-        raises ``KeyError`` (the dict backend shares this contract).
+        raises ``KeyError``.
         """
         self._require_bound()
         assert self.head_cache is not None and self.tail_cache is not None
@@ -596,58 +566,31 @@ class NSCachingSampler(NegativeSampler):
     def _refresh_side(self, batch: np.ndarray, rows: np.ndarray, mode: str) -> None:
         """Run Algorithm 3 for one cache, vectorised over the batch.
 
-        Fused path: cache entries and fresh draws land directly in the
-        persistent union buffer, the block is scored once through
+        Cache entries and fresh draws land directly in the persistent
+        union buffer, the block is scored once through
         ``score_candidates``, and survivors go from ``argpartition``
         straight into ``scatter`` (scores are only gathered when the
-        cache co-stores them).  The unfused path keeps the reference
-        concatenate → score → select → scatter orchestration; both draw
-        from the generator identically, so results are bit-identical.
+        cache co-stores them).
         """
         assert self.head_cache is not None and self.tail_cache is not None
         cache = self.head_cache if mode == "head" else self.tail_cache
         n1, n2 = self.cache_size, self.candidate_size
 
-        if self.fused:
-            union = self._union_buffer(len(batch))
-            union[:, :n1] = cache.gather(rows)
-            union[:, n1:] = self.rng.integers(
-                0, self.dataset.n_entities, size=(len(batch), n2), dtype=np.int64
-            )
-            scores = self._score_union(batch, union, mode)
-            selection = select_cache_survivors(
-                union, scores, n1, self.update_strategy, self.rng,
-                return_scores=cache.store_scores, return_selection=True,
-            )
-            # CE from the selection's column structure — no scatter-side
-            # multiset sort.  None (duplicate-filled rows / repeated
-            # storage rows) falls back to the sorted reference counting.
-            # Only backends that honour the hint pay for the derivation:
-            # the dict backends recount regardless (keeping the sorted
-            # path agreement-tested), so they take the plain scatter.
-            if getattr(cache, "consumes_changed_hint", False):
-                changed = selection_changed_elements(
-                    selection, cache.storage_rows(rows), n1
-                )
-                ce = cache.scatter(
-                    rows, selection.ids, selection.scores, changed=changed
-                )
-            else:
-                ce = cache.scatter(rows, selection.ids, selection.scores)
-            if self._mh is not None:
-                self._observe_refresh(mode, len(batch), ce)
-            return
-
-        current = cache.gather(rows)  # [B, N1]
-        fresh = self.rng.integers(
+        union = self._union_buffer(len(batch))
+        union[:, :n1] = cache.gather(rows)
+        union[:, n1:] = self.rng.integers(
             0, self.dataset.n_entities, size=(len(batch), n2), dtype=np.int64
         )
-        union = np.concatenate([current, fresh], axis=1)  # [B, N1+N2]
         scores = self._score_union(batch, union, mode)
-        new_ids, new_scores = select_cache_survivors(
-            union, scores, n1, self.update_strategy, self.rng
+        selection = select_cache_survivors(
+            union, scores, n1, self.update_strategy, self.rng,
+            return_scores=cache.store_scores, return_selection=True,
         )
-        ce = cache.scatter(rows, new_ids, new_scores if cache.store_scores else None)
+        # CE from the selection's column structure — no scatter-side
+        # multiset sort.  None (duplicate-filled rows / repeated storage
+        # rows) falls back to the sorted counting inside scatter.
+        changed = selection_changed_elements(selection, cache.storage_rows(rows), n1)
+        ce = cache.scatter(rows, selection.ids, selection.scores, changed=changed)
         if self._mh is not None:
             self._observe_refresh(mode, len(batch), ce)
 
@@ -661,19 +604,18 @@ class NSCachingSampler(NegativeSampler):
         h.changed[mode].inc(changed)
 
     # -- parallel refresh (repro.parallel) -----------------------------------------
-    def _ensure_pool(self) -> None:
+    def _ensure_pool(self) -> RefreshPool:
         """Create (and lazily start) the refresh pool on first parallel use."""
         if self._pool is None:
             from repro.parallel.pool import RefreshPool
-            from repro.parallel.sharded import ShardedCacheStore
 
             assert self.head_cache is not None and self.tail_cache is not None
             caches = {"head": self.head_cache, "tail": self.tail_cache}
             for mode, cache in caches.items():
-                if not isinstance(cache, ShardedCacheStore):
+                if not isinstance(cache, ArrayNegativeCache) or cache.plan is None:
                     raise RuntimeError(
-                        f"parallel refresh needs sharded caches, got "
-                        f"{type(cache).__name__} for the {mode} side"
+                        f"parallel refresh needs shared-memory caches with a "
+                        f"shard plan, got {cache!r} for the {mode} side"
                     )
             assert self._pool_seed is not None
             self._pool = RefreshPool(
@@ -749,6 +691,7 @@ class NSCachingSampler(NegativeSampler):
             storage_rows = cache.storage_rows(side_rows)
             anchors = batch[:, TAIL] if mode == "head" else batch[:, HEAD]
             relations = batch[:, REL]
+            assert cache.plan is not None
             for shard, positions in cache.plan.split(storage_rows):
                 tasks.append(
                     ShardTask(
@@ -775,8 +718,8 @@ class NSCachingSampler(NegativeSampler):
 
         Workers run the same fused kernel against the shared storage and
         report CE / initialisation deltas, which are folded back into the
-        stores' counters so ``changed_elements()`` and Figure 8 stay
-        backend-agnostic.  With :attr:`refresh_overlap` only the dispatch
+        caches' counters so ``changed_elements()`` and Figure 8 stay
+        layout-agnostic.  With :attr:`refresh_overlap` only the dispatch
         half runs here — the tasks execute against the pre-step parameter
         snapshot while the trainer computes the step, and
         :meth:`collect_refreshes` folds the results in later.
@@ -860,12 +803,12 @@ class NSCachingSampler(NegativeSampler):
     def cache_stats(self) -> dict[str, object]:
         """Cache introspection: key counts, memory, bucket collisions.
 
-        Always present: the backend name, per-side distinct key counts and
-        the materialised ``memory_bytes``.  The array backends add
-        ``allocated_bytes`` (preallocated block — ``O(n_buckets * N1)``
-        for the bucketed backend, independent of the key count); the
-        memory-bounded pair adds the per-side load factor and number of
-        colliding keys.
+        Always present: the layout name, per-side distinct key counts and
+        live fractions, the materialised ``memory_bytes`` and the
+        ``allocated_bytes`` of the preallocated blocks (``O(n_buckets *
+        N1)`` with ``n_buckets``, independent of the key count).  Bucket
+        rows add the per-side load factor and number of colliding keys;
+        shared storage adds the per-shard occupancy.
         """
         self._require_bound()
         assert self.key_index is not None
@@ -875,26 +818,22 @@ class NSCachingSampler(NegativeSampler):
             "head_keys": self.key_index.head.n_keys,
             "tail_keys": self.key_index.tail.n_keys,
             "memory_bytes": self.cache_memory_bytes(),
+            "allocated_bytes": (
+                self.head_cache.allocated_bytes() + self.tail_cache.allocated_bytes()
+            ),
         }
-        sides = (("head", self.head_cache), ("tail", self.tail_cache))
-        allocated = [
-            getattr(cache, "allocated_bytes", None) for _, cache in sides
-        ]
-        if all(callable(fn) for fn in allocated):
-            stats["allocated_bytes"] = sum(fn() for fn in allocated)
-        for side, cache in sides:
-            for attr in ("live_fraction", "load_factor", "n_colliding_keys"):
-                fn = getattr(cache, attr, None)
-                if callable(fn):
-                    stats[f"{side}_{attr}"] = fn()
-            # Sharded stores: per-shard occupancy (live rows) and key
+        for side, cache in (("head", self.head_cache), ("tail", self.tail_cache)):
+            stats[f"{side}_live_fraction"] = cache.live_fraction()
+            if cache.n_buckets is not None:
+                stats[f"{side}_load_factor"] = cache.load_factor()
+                stats[f"{side}_n_colliding_keys"] = cache.n_colliding_keys()
+            # Shared storage: per-shard occupancy (live rows) and key
             # ownership, compacted to `a/b/c` strings for the CLI table.
             # After close() the plan is gone — skip rather than crash.
-            occupancy = getattr(cache, "shard_occupancy", None)
-            if callable(occupancy) and getattr(cache, "plan", None) is not None:
+            if cache.plan is not None:
                 stats[f"{side}_shards"] = cache.plan.n_shards
                 stats[f"{side}_shard_live_rows"] = "/".join(
-                    str(int(n)) for n in occupancy()
+                    str(int(n)) for n in cache.shard_occupancy()
                 )
                 stats[f"{side}_shard_keys"] = "/".join(
                     str(int(n)) for n in cache.shard_key_ownership()
@@ -934,6 +873,7 @@ class NSCachingSampler(NegativeSampler):
             if self.refresh_workers > 1
             else ""
         )
+        buckets = f", n_buckets={self.n_buckets}" if self.n_buckets is not None else ""
         period = (
             f", refresh_period={self.refresh_period}"
             if self.refresh_period != 1
@@ -942,6 +882,6 @@ class NSCachingSampler(NegativeSampler):
         return (
             f"NSCachingSampler(N1={self.cache_size}, N2={self.candidate_size}, "
             f"sample={self.sample_strategy.value}, update={self.update_strategy.value}, "
-            f"lazy={self.lazy_epochs}, backend={self.cache_backend}, "
-            f"fused={self.fused}{workers}{period})"
+            f"lazy={self.lazy_epochs}, backend={self.cache_backend}"
+            f"{buckets}{workers}{period})"
         )

@@ -15,8 +15,7 @@ in one pass over the triples.
 
 :class:`BucketIndex` adds the memory-bounded addressing mode (paper §VI):
 it folds a :class:`KeyIndex`'s dense rows onto a fixed number of bucket
-rows through :func:`stable_key_hash`, the vectorised counterpart of the
-scalar hash in :mod:`repro.core.hashed`.  The whole key set is hashed once
+rows through :func:`stable_key_hash`.  The whole key set is hashed once
 at construction, so translating a batch of dense rows to bucket rows is a
 single fancy index in the hot loop.
 """
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 # Knuth-style multiplicative mixing constants (deterministic across runs
-# and processes, unlike Python's salted ``hash()``).  Must match the
-# scalar implementation in ``repro.core.hashed``.
+# and processes, unlike Python's salted ``hash()``).
 _MIX_A = np.uint64(0x9E3779B97F4A7C15)
 _MIX_B = np.uint64(0xC2B2AE3D27D4EB4F)
 
@@ -49,7 +47,7 @@ def stable_key_hash(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
     Vectorised: hashing ``n`` keys is four uint64 array ops instead of a
     per-key Python loop.  Element-for-element identical to the scalar
-    ``repro.core.hashed.stable_key_hash`` (enforced by test); returns a
+    hash of the dict-bucket test oracle (enforced by test); returns a
     ``uint64`` array of the broadcast shape of the inputs.
     """
     # 1-element minimum keeps the arithmetic on arrays: numpy wraps array
@@ -176,8 +174,7 @@ class BucketIndex:
     how many distinct keys the training split has; colliding keys share a
     row.  All indexed keys are hashed **once** here (one vectorised
     :func:`stable_key_hash` pass), so per-batch translation is a single
-    fancy index — the per-key Python hash of the dict-hashed backend never
-    enters the hot loop.
+    fancy index — no per-key Python hash enters the hot loop.
     """
 
     def __init__(self, index: KeyIndex, n_buckets: int) -> None:
@@ -203,7 +200,7 @@ class BucketIndex:
 
     def bucket_of(self, key: tuple[int, int]) -> int:
         """Bucket row of an arbitrary pair (indexed or not — hashing
-        serves every key, matching the dict-hashed backend)."""
+        serves every key)."""
         h = stable_key_hash(
             np.array([key[0]], dtype=np.int64), np.array([key[1]], dtype=np.int64)
         )

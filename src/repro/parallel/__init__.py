@@ -9,29 +9,25 @@ provides the three pieces:
 * :class:`~repro.parallel.plan.ShardPlan` — partitions a storage
   row-space (key rows or bucket rows) into contiguous shard ranges and
   assigns each batch's touched rows to shards;
-* :class:`~repro.parallel.sharded.ShardedCacheStore` — the
-  ``sharded-array`` cache backend: the array engine's storage moved into
-  ``multiprocessing.shared_memory`` with a shard plan overlaid,
-  bit-identical to the unsharded backends under a seed;
+* :class:`~repro.parallel.sharded.SharedArrayBlock` — one ndarray in
+  ``multiprocessing.shared_memory``: the storage an
+  :class:`~repro.core.array_cache.ArrayNegativeCache` built with
+  ``n_shards=`` allocates (bit-identical to its heap sibling under a
+  seed), and the pool's parameter mirror;
 * :class:`~repro.parallel.pool.RefreshPool` — persistent worker
   processes running the fused score-and-select refresh per shard against
   the shared storage, with deterministic per-``(mode, shard, epoch,
   batch)`` RNG streams and a bit-identical in-process fallback.
 
-``NSCachingSampler(refresh_workers=..., cache_backend="sharded-array")``
-wires them together; the CLI exposes ``--n-shards``/``--refresh-workers``.
+``NSCachingSampler(refresh_workers=...)`` wires them together (two or
+more workers imply shared storage with ``n_shards`` defaulting to the
+worker count); the CLI exposes ``--n-shards``/``--refresh-workers``.
 """
 
 from repro.parallel.dirty import DirtyRowTracker
 from repro.parallel.plan import ShardPlan
 from repro.parallel.pool import RefreshPool, ShardResult, ShardTask, SyncReport
-from repro.parallel.sharded import (
-    ShardedArrayCache,
-    ShardedBucketedArrayCache,
-    ShardedCacheStore,
-    SharedArrayBlock,
-    make_sharded_cache,
-)
+from repro.parallel.sharded import SharedArrayBlock
 
 __all__ = [
     "DirtyRowTracker",
@@ -39,10 +35,6 @@ __all__ = [
     "ShardPlan",
     "ShardResult",
     "ShardTask",
-    "ShardedArrayCache",
-    "ShardedBucketedArrayCache",
-    "ShardedCacheStore",
     "SharedArrayBlock",
     "SyncReport",
-    "make_sharded_cache",
 ]

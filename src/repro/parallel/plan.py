@@ -2,17 +2,18 @@
 
 Cache rows are the unit of write ownership in the NSCaching refresh: a
 batch's update touches exactly the storage rows of its cache keys (key
-rows for the ``array`` scheme, bucket rows for ``bucketed-array`` — both
+rows with one row per key, bucket rows with ``n_buckets`` — both
 row-addressed).  A :class:`ShardPlan` splits that row-space into
 ``n_shards`` contiguous ranges; any two batch slices whose rows fall in
 different shards touch disjoint storage and can therefore refresh
-concurrently with zero locking.  The plan is the contract between the
-:class:`~repro.parallel.sharded.ShardedCacheStore` (which owns the rows)
-and the :class:`~repro.parallel.pool.RefreshPool` (which assigns each
-shard's slice of a batch to a worker).
+concurrently with zero locking.  The plan is the contract between an
+:class:`~repro.core.array_cache.ArrayNegativeCache` built with
+``n_shards=`` (which owns the rows) and the
+:class:`~repro.parallel.pool.RefreshPool` (which assigns each shard's
+slice of a batch to a worker).
 
 Ranges are near-equal by construction
-(:func:`~repro.data.keyindex.even_ranges`); with the bucketed scheme the
+(:func:`~repro.data.keyindex.even_ranges`); with bucket rows the
 hash spreads keys uniformly over buckets, so equal *row* ranges are also
 approximately equal *load* ranges.
 """

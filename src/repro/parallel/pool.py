@@ -3,7 +3,8 @@
 One NSCaching batch refresh is embarrassingly parallel once the cache
 row-space is sharded: every shard's slice of the batch reads and writes a
 disjoint contiguous row range of the shared-memory storage
-(:mod:`repro.parallel.sharded`), so the pool simply ships each slice —
+(an :class:`~repro.core.array_cache.ArrayNegativeCache` built with
+``n_shards=``), so the pool simply ships each slice —
 anchor/relation ids plus storage rows, a few KiB — to a persistent worker
 process and lets it run the *same* fused score-and-select kernel the
 sequential path uses, scattering survivors straight back into shared
@@ -40,7 +41,7 @@ caches and training trajectory.  Note this stream layout differs from
 the sequential single-stream path: parallel refresh (>= 2 workers) is a
 *deterministic sibling* of sequential training, not a bit-identical twin;
 with 1 worker the sampler keeps the sequential path, which is
-bit-identical to the plain ``array`` backend.
+bit-identical to heap storage.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from repro.core.strategies import (
 )
 from repro.models.base import CANDIDATE_MODES, KGEModel
 from repro.parallel.dirty import DirtyRowTracker
-from repro.parallel.sharded import ShardedCacheStore, SharedArrayBlock
+from repro.parallel.sharded import SharedArrayBlock
 
 __all__ = ["RefreshPool", "ShardTask", "ShardResult", "SyncReport"]
 
@@ -324,8 +325,8 @@ class RefreshPool:
         The training model; its parameters are mirrored into shared
         read-only blocks before every refresh (:meth:`sync_params`).
     caches:
-        One :class:`~repro.parallel.sharded.ShardedCacheStore` per
-        corruption mode (``"head"``/``"tail"``) — storage must already be
+        One shared-memory :class:`~repro.core.array_cache.ArrayNegativeCache`
+        (built with ``n_shards=``) per corruption mode (``"head"``/``"tail"``) — storage must already be
         attached (shards planned) before :meth:`start`.
     n_workers:
         Worker processes to fork.  Values ``< 2`` mean no processes: the
@@ -362,7 +363,7 @@ class RefreshPool:
     def __init__(
         self,
         model: KGEModel,
-        caches: dict[str, ShardedCacheStore],
+        caches: dict[str, ArrayNegativeCache],
         *,
         n_entities: int,
         candidate_size: int,

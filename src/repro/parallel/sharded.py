@@ -1,57 +1,29 @@
-"""Shared-memory sharded cache storage (the ``sharded-array`` backend).
+"""Shared-memory array blocks.
 
-The array engine already makes a cache refresh one ``gather`` and one
-``scatter`` over a preallocated block; this module moves that block into
-``multiprocessing.shared_memory`` and overlays a
-:class:`~repro.parallel.plan.ShardPlan` on its row-space.  Semantics are
-*identical* to the inner scheme — the only change is where the bytes
-live — so a sharded store with any ``n_shards`` is bit-identical to its
-unsharded sibling under a fixed seed (property-tested), and the plain
-sequential refresh path works against it unchanged.  What the shared
-storage buys is that :class:`~repro.parallel.pool.RefreshPool` worker
-processes can gather/scatter the same rows with zero copying: each shard
-is a contiguous row range, each batch slice touches exactly one shard,
-and concurrent shard refreshes are write-disjoint by construction.  To
-*see* that concurrency, trace a run (``repro train --trace-out``): each
-worker's ``shard_task`` spans (:mod:`repro.obs.trace`) land on their own
-pid row of the exported timeline, overlapping the trainer's gradient and
-optimizer spans when ``--refresh-overlap`` is on.
+:class:`SharedArrayBlock` is one ndarray backed by a
+``multiprocessing.shared_memory`` segment.  Two owners allocate them:
 
-Two inner schemes are supported, selected by the backend's ``inner``
-option:
+* :class:`~repro.core.array_cache.ArrayNegativeCache` built with
+  ``n_shards=`` keeps its storage in them, so
+  :class:`~repro.parallel.pool.RefreshPool` worker processes can
+  gather/scatter the same cache rows with zero copying;
+* the pool mirrors the model's parameter tables into them, so a
+  parent-side publish keeps the workers on current embeddings.
 
-* ``array`` — one row per distinct key (unbounded, the default);
-* ``bucketed-array`` — ``n_buckets`` rows shared by hashing (§VI bounded
-  memory), in which case the plan partitions the *bucket* row-space.
-
-Shared-memory segments are owned by the creating process: call
-:meth:`ShardedCacheStore.close` (or let the owning sampler/trainer close)
-to release them; re-attaching an index also releases the previous blocks.
+To *see* the resulting concurrency, trace a run (``repro train
+--trace-out``): each worker's ``shard_task`` spans
+(:mod:`repro.obs.trace`) land on their own pid row of the exported
+timeline, overlapping the trainer's gradient and optimizer spans when
+``--refresh-overlap`` is on.
 """
 
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import Mapping
 
 import numpy as np
 
-from repro.core.array_cache import ArrayNegativeCache
-from repro.core.bucketed import BucketedArrayCache
-from repro.data.keyindex import KeyIndex
-from repro.parallel.plan import ShardPlan
-
-__all__ = [
-    "ShardedArrayCache",
-    "ShardedBucketedArrayCache",
-    "ShardedCacheStore",
-    "SharedArrayBlock",
-    "check_sharded_options",
-    "make_sharded_cache",
-]
-
-#: Inner storage schemes ``make_sharded_cache`` accepts.
-SHARDED_INNER_BACKENDS: tuple[str, ...] = ("array", "bucketed-array")
+__all__ = ["SharedArrayBlock"]
 
 
 class SharedArrayBlock:
@@ -82,187 +54,3 @@ class SharedArrayBlock:
             shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already unlinked
             pass
-
-
-class ShardedCacheStore:
-    """Mixin: shared-memory allocation plus a shard plan over storage rows.
-
-    Combined with :class:`~repro.core.array_cache.ArrayNegativeCache` or
-    :class:`~repro.core.bucketed.BucketedArrayCache` below; the mixin only
-    changes *where* storage lives (`_alloc`) and *how it is described*
-    (shard plan, occupancy stats, worker layout) — never access semantics.
-    """
-
-    def __init__(
-        self,
-        size: int,
-        n_entities: int,
-        rng: np.random.Generator | int | None = None,
-        *,
-        n_shards: int = 1,
-        **kwargs: object,
-    ) -> None:
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        super().__init__(size, n_entities, rng, **kwargs)  # type: ignore[call-arg]
-        self.n_shards = int(n_shards)
-        self.plan: ShardPlan | None = None
-        self._blocks: list[SharedArrayBlock] = []
-
-    # -- allocation -----------------------------------------------------------
-    def _alloc(self, shape: tuple[int, ...], dtype: type) -> np.ndarray:
-        block = SharedArrayBlock(shape, dtype)
-        self._blocks.append(block)
-        assert block.array is not None
-        return block.array
-
-    def attach_index(self, index: KeyIndex) -> None:
-        """Bind the key→row map; allocate shared storage and plan shards."""
-        self.close()  # re-attach replaces any previous segments
-        super().attach_index(index)  # type: ignore[misc]
-        assert self._ids is not None
-        self.plan = ShardPlan(self._ids.shape[0], self.n_shards)
-
-    def close(self) -> None:
-        """Release the shared-memory segments (idempotent).
-
-        After closing, gather/scatter raise until a new index is attached.
-        """
-        if not self._blocks:
-            return
-        self._ids = None
-        self._live = None
-        self._scores = None
-        self.plan = None  # shard introspection now raises cleanly too
-        blocks, self._blocks = self._blocks, []
-        for block in blocks:
-            block.release()
-
-    # -- shard introspection ---------------------------------------------------
-    def _require_plan(self) -> ShardPlan:
-        if self.plan is None:
-            raise RuntimeError(
-                "sharded cache has no shard plan yet; call attach_index first"
-            )
-        return self.plan
-
-    def shard_occupancy(self) -> np.ndarray:
-        """Initialised (live) storage rows per shard; shape ``[n_shards]``."""
-        plan = self._require_plan()
-        assert self._live is not None
-        return plan.occupancy_of(np.flatnonzero(self._live))
-
-    def shard_load_factors(self) -> np.ndarray:
-        """Live-row fraction per shard; shape ``[n_shards]``, in [0, 1].
-
-        The numeric per-shard occupancy the obs layer records per epoch
-        (the CLI's ``cache_stats`` strings are for humans); a skewed
-        vector here means the shard plan is load-imbalanced for this key
-        distribution.
-        """
-        plan = self._require_plan()
-        sizes = plan.rows_per_shard().astype(np.float64)
-        return self.shard_occupancy() / np.maximum(sizes, 1.0)
-
-    def shard_key_ownership(self) -> np.ndarray:
-        """Distinct cache keys whose storage row each shard owns.
-
-        For the ``array`` scheme this equals the shard's row count; for
-        the bucketed scheme it is the number of keys hashing into the
-        shard's bucket range (collisions make it exceed the row count).
-        """
-        plan = self._require_plan()
-        index = self._index
-        assert index is not None
-        all_rows = self.storage_rows(  # type: ignore[attr-defined]
-            np.arange(index.n_keys, dtype=np.int64)
-        )
-        return plan.occupancy_of(all_rows)
-
-    def worker_layout(self) -> dict[str, object]:
-        """The pieces a refresh worker needs to view this store's rows."""
-        self._require_plan()
-        return {
-            "ids": self._ids,
-            "live": self._live,
-            "scores": self._scores,
-            "plan": self.plan,
-            "size": self.size,  # type: ignore[attr-defined]
-            "store_scores": self.store_scores,  # type: ignore[attr-defined]
-        }
-
-
-class ShardedArrayCache(ShardedCacheStore, ArrayNegativeCache):
-    """Unbounded array scheme (one row per key) in shared memory."""
-
-    def __repr__(self) -> str:
-        n_keys = self._index.n_keys if self._index is not None else 0
-        return (
-            f"ShardedArrayCache(size={self.size}, n_keys={n_keys}, "
-            f"n_shards={self.n_shards}, entries={self.n_entries})"
-        )
-
-
-class ShardedBucketedArrayCache(ShardedCacheStore, BucketedArrayCache):
-    """Memory-bounded bucket scheme in shared memory; shards own buckets."""
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedBucketedArrayCache(size={self.size}, "
-            f"n_buckets={self.n_buckets}, n_shards={self.n_shards}, "
-            f"entries={self.n_entries})"
-        )
-
-
-def check_sharded_options(options: Mapping[str, object]) -> None:
-    """Value checks for the ``sharded-array`` backend options.
-
-    Registered as the backend's ``check_options`` hook so bad values fail
-    at sampler construction / ``make_cache_backend`` with a clean
-    ``ValueError`` (the CLI's exit-2 path) instead of deep inside
-    allocation at bind time.
-    """
-    from repro.core.store import require_positive_int_options
-
-    require_positive_int_options(options, "n_shards", "n_buckets")
-    inner = options.get("inner", "array")
-    if inner not in SHARDED_INNER_BACKENDS:
-        raise ValueError(
-            f"sharded-array inner backend must be one of "
-            f"{SHARDED_INNER_BACKENDS}, got {inner!r}"
-        )
-    if "n_buckets" in options and inner != "bucketed-array":
-        raise ValueError(
-            "n_buckets only applies to the bucketed-array inner backend; "
-            "pass inner='bucketed-array' (the CLI does this automatically "
-            "when --n-buckets is given)"
-        )
-
-
-def make_sharded_cache(
-    size: int,
-    n_entities: int,
-    rng: np.random.Generator | int | None = None,
-    *,
-    store_scores: bool = False,
-    n_shards: int = 1,
-    inner: str = "array",
-    n_buckets: int | None = None,
-) -> ShardedCacheStore:
-    """Factory for the ``sharded-array`` backend registry entry."""
-    check_sharded_options(
-        {"n_shards": n_shards, "inner": inner}
-        | ({"n_buckets": n_buckets} if n_buckets is not None else {})
-    )
-    if inner == "bucketed-array":
-        return ShardedBucketedArrayCache(
-            size,
-            n_entities,
-            rng,
-            n_shards=n_shards,
-            n_buckets=1024 if n_buckets is None else n_buckets,
-            store_scores=store_scores,
-        )
-    return ShardedArrayCache(
-        size, n_entities, rng, n_shards=n_shards, store_scores=store_scores
-    )

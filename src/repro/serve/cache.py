@@ -1,7 +1,7 @@
 """An LRU cache for repeated link-prediction queries.
 
 The serving-side sibling of the training-time
-:class:`~repro.core.cache.NegativeCache`: where that cache keeps the
+:class:`~repro.core.array_cache.ArrayNegativeCache`: where that cache keeps the
 hardest negatives per ``(h, r)`` / ``(r, t)`` key hot across epochs, this
 one keeps *answered queries* hot across requests.  Real query streams are
 heavily skewed (a few head entities dominate), so even a small capacity

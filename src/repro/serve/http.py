@@ -87,43 +87,56 @@ def make_handler(
         def _dispatch(self, method: str) -> None:
             """Route one request, then record it whatever happened.
 
-            The accounting lives in the ``finally`` so 400/404/500 paths
-            (and even a handler bug that re-raises after replying 500)
-            still hit the counters, the latency histogram, the
-            slow-request log and — when tracing is on — the request span.
+            :meth:`_send` records the request just before the reply's
+            headers go out, so a client that has its response can already
+            see it in ``/metrics``.  The ``finally`` records any request
+            that never replied, so 400/404/500 paths (and even a handler
+            bug that re-raises) still hit the counters, the latency
+            histogram, the slow-request log and — when tracing is on —
+            the request span.
             """
             self._body_read = False
             self._head_only = method == "HEAD"
             self._status = 500  # overwritten by _send; a crash before it counts as 500
-            route = _route_label(self.path)
+            self._method = method
+            self._route = _route_label(self.path)
             tracer = engine.tracer
-            span = (
+            self._span = (
                 tracer.start_span(
-                    "request", "serve", args={"route": route, "method": method}
+                    "request", "serve", args={"route": self._route, "method": method}
                 )
                 if tracer is not None
                 else None
             )
-            started = time.perf_counter()
+            self._accounted = False
+            self._started = time.perf_counter()
             try:
                 if method == "POST":
                     self._handle_post()
                 else:
                     self._handle_get()
             finally:
-                elapsed = time.perf_counter() - started
-                slow = elapsed >= slow_request_seconds
-                if slow:
-                    print(
-                        f"slow request: {method} {self.path} -> {self._status} "
-                        f"in {elapsed * 1000.0:.1f} ms",
-                        file=sys.stderr,
-                    )
-                engine.observe_request(route, self._status, elapsed, slow=slow)
-                if span is not None:
-                    if span.args is not None:
-                        span.args["status"] = self._status
-                    span.end()
+                self._account()
+
+        def _account(self) -> None:
+            """Record the current request once, with its status so far."""
+            if self._accounted:
+                return
+            self._accounted = True
+            elapsed = time.perf_counter() - self._started
+            slow = elapsed >= slow_request_seconds
+            if slow:
+                print(
+                    f"slow request: {self._method} {self.path} -> {self._status} "
+                    f"in {elapsed * 1000.0:.1f} ms",
+                    file=sys.stderr,
+                )
+            engine.observe_request(self._route, self._status, elapsed, slow=slow)
+            span = self._span
+            if span is not None:
+                if span.args is not None:
+                    span.args["status"] = self._status
+                span.end()
 
         def _handle_get(self) -> None:
             url = urlsplit(self.path)
@@ -208,6 +221,7 @@ def make_handler(
             if pending > 0 and not getattr(self, "_body_read", False):
                 self.send_header("Connection", "close")
                 self.close_connection = True
+            self._account()
             self.end_headers()
             if not getattr(self, "_head_only", False):
                 self.wfile.write(data)

@@ -76,7 +76,7 @@ def grid_search(
         try:
             trainer.run()
         finally:
-            # Pool-backed samplers (sharded-array + refresh workers) hold
+            # Pool-backed samplers (shared caches + refresh workers) hold
             # processes and shared memory per grid point; release them.
             trainer.close()
         metrics = evaluate(model, dataset, split)

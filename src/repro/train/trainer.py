@@ -348,7 +348,7 @@ class Trainer:
         """The sampler's cache introspection (empty for cache-less samplers).
 
         Key counts, materialised/allocated bytes and — for the
-        memory-bounded bucketed backends — load factor and colliding-key
+        bucketed (``n_buckets``) caches — load factor and colliding-key
         counts; the CLI prints this next to the phase table under
         ``--profile``.
         """

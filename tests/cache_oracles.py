@@ -1,26 +1,30 @@
-"""The negative-sample cache (paper §III-B).
+"""Reference implementations the cache engine is parity-tested against.
 
-NSCaching maintains a *head cache* ``H`` indexed by ``(r, t)`` and a *tail
-cache* ``T`` indexed by ``(h, r)``; each entry holds ``N1`` entity ids whose
-corruptions currently score high.  Only indices are stored (§III-B3), so
-memory is ``O(|S| * N1)`` integers worst-case and much less in practice
-because 1-N / N-1 / N-N triples share entries.
+Each oracle is the straightforward version of something
+:class:`~repro.core.array_cache.ArrayNegativeCache` or
+:class:`~repro.core.nscaching.NSCachingSampler` does vectorised, and each
+is pinned bit-identical to it under a seed:
 
-Entries are created lazily with uniformly random entities the first time a
-key is touched, which is the "from scratch" initialisation the paper trains
-with.  Optionally each entry also stores the scores from its last refresh —
-needed only by the IS/top *sampling* strategies of the Figure 6(a) ablation
-(the paper notes this as their extra memory cost).
+* :class:`NegativeCache` — a dict of per-key arrays with lazy per-key
+  random init and a per-put multiset CE count (↔ one row per key);
+* :class:`HashedNegativeCache` — the same dict over §VI hash buckets,
+  through the scalar :func:`stable_key_hash` (↔ ``n_buckets=``);
+* :class:`UnfusedRefreshSampler` — the step-by-step concatenate → score
+  → select → scatter Alg. 3 refresh (↔ the fused refresh).
+
+:class:`OracleCacheSampler` runs NSCaching on a dict oracle: it swaps
+the caches after ``bind()`` and before any draw, and the oracle shares
+``sampler.rng``, so the RNG stream stays identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.data.keyindex import KeyIndex
+from repro.core.nscaching import NSCachingSampler
+from repro.core.strategies import select_cache_survivors
+from repro.data.keyindex import BucketIndex, KeyIndex
 from repro.utils.rng import ensure_rng
-
-__all__ = ["NegativeCache"]
 
 Key = tuple[int, int]
 
@@ -91,9 +95,8 @@ class NegativeCache:
         """Stack stored scores for a batch of keys."""
         return np.stack([self.scores(key) for key in keys])
 
-    # -- CacheStore: row-addressed access -------------------------------------
-    # Reference implementation of the protocol the vectorised
-    # ArrayNegativeCache is measured against: rows are translated back to
+    # -- row-addressed access ---------------------------------------------------
+    # The surface ArrayNegativeCache offers: rows are translated back to
     # tuple keys and served by the per-key dict machinery above.
     def attach_index(self, index: KeyIndex) -> None:
         """Bind the key→row map used by gather/scatter."""
@@ -129,10 +132,10 @@ class NegativeCache:
     ) -> int:
         """Row-by-row :meth:`put`; returns total #elements that changed.
 
-        ``changed`` (a caller-derived CE count, see the array engine) is
-        deliberately *ignored* here: the dict backend always recounts via
-        the per-put multiset walk, which makes it the reference the fused
-        column-derived CE is parity-tested against.
+        The CE count always comes from the per-put multiset walk.  A
+        caller-derived ``changed`` hint (the fused refresh's column
+        derivation) is checked against that recount, so every dict↔array
+        parity run also checks the derivation.
         """
         keys = self._rows_to_keys(rows)
         ids = np.asarray(ids)
@@ -149,10 +152,17 @@ class NegativeCache:
                     f"scores must have shape ({len(keys)}, {self.size}) to "
                     f"match ids, got {scores.shape}"
                 )
-        changed = 0
+        recount = 0
         for i, key in enumerate(keys):
-            changed += self.put(key, ids[i], scores[i] if scores is not None else None)
-        return changed
+            recount += self.put(key, ids[i], scores[i] if scores is not None else None)
+        if changed is not None and changed != recount:
+            raise AssertionError(
+                f"caller-derived CE hint {changed} != multiset recount {recount}"
+            )
+        return recount
+
+    def close(self) -> None:
+        """Nothing to release (the sampler closes its caches)."""
 
     # -- mutation -------------------------------------------------------------
     def put(self, key: Key, ids: np.ndarray, scores: np.ndarray | None = None) -> int:
@@ -239,3 +249,158 @@ def _multiset_overlap(a: np.ndarray, b: np.ndarray) -> int:
         else:
             j += 1
     return overlap
+
+
+# Knuth-style multiplicative mixing constants (deterministic across runs,
+# unlike Python's salted hash()).  Must match the vectorised
+# ``repro.data.keyindex.stable_key_hash`` (enforced by test).
+_MIX_A = 0x9E3779B97F4A7C15
+_MIX_B = 0xC2B2AE3D27D4EB4F
+_MASK = (1 << 64) - 1
+
+
+def stable_key_hash(key: Key) -> int:
+    """Deterministic 64-bit hash of one ``(id, id)`` cache key.
+
+    Scalar counterpart of the vectorised
+    :func:`repro.data.keyindex.stable_key_hash`, in pure Python.
+    """
+    a, b = int(key[0]), int(key[1])
+    x = (a * _MIX_A + b * _MIX_B) & _MASK
+    x ^= x >> 29
+    x = (x * _MIX_A) & _MASK
+    x ^= x >> 32
+    return x
+
+
+class HashedNegativeCache(NegativeCache):
+    """A :class:`NegativeCache` whose keys share ``n_buckets`` slots."""
+
+    def __init__(
+        self,
+        size: int,
+        n_entities: int,
+        rng: np.random.Generator | int | None = None,
+        *,
+        n_buckets: int = 1024,
+        store_scores: bool = False,
+    ) -> None:
+        if n_buckets <= 0:
+            raise ValueError(f"n_buckets must be > 0, got {n_buckets}")
+        super().__init__(size, n_entities, rng, store_scores=store_scores)
+        self.n_buckets = int(n_buckets)
+        self._bucket_index: BucketIndex | None = None
+
+    def attach_index(self, index: KeyIndex) -> None:
+        """Bind the key→row map; also index the buckets for introspection."""
+        super().attach_index(index)
+        self._bucket_index = BucketIndex(index, self.n_buckets)
+
+    def _require_buckets(self) -> BucketIndex:
+        if self._bucket_index is None:
+            raise RuntimeError(
+                "HashedNegativeCache has no key index; call "
+                "attach_index(KeyIndex) before bucket introspection"
+            )
+        return self._bucket_index
+
+    def load_factor(self) -> float:
+        """Mean indexed keys per bucket (``n_keys / n_buckets``)."""
+        return self._require_buckets().load_factor()
+
+    def n_colliding_keys(self) -> int:
+        """Indexed keys sharing their bucket with at least one other key."""
+        return self._require_buckets().n_colliding_keys()
+
+    def _bucket(self, key: Key) -> Key:
+        return (stable_key_hash(key) % self.n_buckets, 0)
+
+    def storage_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Bucket row per dense key row (colliding keys share a row)."""
+        return np.array(
+            [self._bucket(key)[0] for key in self._rows_to_keys(rows)],
+            dtype=np.int64,
+        )
+
+    def get(self, key: Key) -> np.ndarray:
+        """Cached ids for ``key``'s bucket (shared across colliding keys)."""
+        return super().get(self._bucket(key))
+
+    def scores(self, key: Key) -> np.ndarray:
+        """Stored scores for ``key``'s bucket."""
+        return super().scores(self._bucket(key))
+
+    def put(self, key: Key, ids: np.ndarray, scores: np.ndarray | None = None) -> int:
+        """Replace ``key``'s bucket contents; returns #changed elements."""
+        return super().put(self._bucket(key), ids, scores)
+
+    def __contains__(self, key: Key) -> bool:
+        return super().__contains__(self._bucket(key))
+
+    def memory_bound_bytes(self) -> int:
+        """Worst-case memory if every bucket materialises."""
+        per_entry = self.size * 8 * (2 if self.store_scores else 1)
+        return self.n_buckets * per_entry
+
+    def __repr__(self) -> str:
+        return (
+            f"HashedNegativeCache(size={self.size}, n_buckets={self.n_buckets}, "
+            f"entries={self.n_entries})"
+        )
+
+
+class UnfusedRefreshSampler(NSCachingSampler):
+    """NSCaching with the step-by-step reference Alg. 3 refresh.
+
+    Same kernels and the same generator consumption as the fused
+    refresh, without the persistent union buffer, the selection fast
+    path or the caller-derived CE hint.
+    """
+
+    def _refresh_side(self, batch: np.ndarray, rows: np.ndarray, mode: str) -> None:
+        assert self.head_cache is not None and self.tail_cache is not None
+        cache = self.head_cache if mode == "head" else self.tail_cache
+        n1, n2 = self.cache_size, self.candidate_size
+        current = cache.gather(rows)  # [B, N1]
+        fresh = self.rng.integers(
+            0, self.dataset.n_entities, size=(len(batch), n2), dtype=np.int64
+        )
+        union = np.concatenate([current, fresh], axis=1)  # [B, N1+N2]
+        scores = self._score_union(batch, union, mode)
+        new_ids, new_scores = select_cache_survivors(
+            union, scores, n1, self.update_strategy, self.rng
+        )
+        ce = cache.scatter(rows, new_ids, new_scores if cache.store_scores else None)
+        if self._mh is not None:
+            self._observe_refresh(mode, len(batch), ce)
+
+
+class OracleCacheSampler(NSCachingSampler):
+    """An NSCachingSampler whose caches are dict oracles.
+
+    ``oracle`` is :class:`NegativeCache` or :class:`HashedNegativeCache`
+    (which takes the sampler's ``n_buckets``).  Every ``bind()`` swaps the
+    engine caches for oracles before any draw; they share ``self.rng``.
+    """
+
+    def __init__(self, oracle: type, **kwargs: object) -> None:
+        super().__init__(**kwargs)
+        self.oracle = oracle
+
+    def bind(self, model, dataset, rng=None) -> "OracleCacheSampler":
+        super().bind(model, dataset, rng)
+        assert self.key_index is not None and self.head_cache is not None
+        options = (
+            {"n_buckets": self.n_buckets} if self.oracle is HashedNegativeCache else {}
+        )
+        for side, index in (("head", self.key_index.head), ("tail", self.key_index.tail)):
+            cache = self.oracle(
+                self.cache_size,
+                dataset.n_entities,
+                self.rng,
+                store_scores=self.head_cache.store_scores,
+                **options,
+            )
+            cache.attach_index(index)
+            setattr(self, f"{side}_cache", cache)
+        return self

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.array_cache import ArrayNegativeCache, multiset_overlap_rows
-from repro.core.cache import _multiset_overlap
-from repro.core.store import CacheStore, make_cache_backend
 from repro.data.keyindex import KeyIndex
+
+from cache_oracles import NegativeCache, _multiset_overlap
 
 
 def _index(n_keys: int = 8, n_second: int = 100) -> KeyIndex:
@@ -33,15 +33,6 @@ class TestConstruction:
         with pytest.raises(RuntimeError, match="attach_index"):
             cache.gather(np.array([0]))
 
-    def test_satisfies_protocol(self):
-        assert isinstance(_cache(), CacheStore)
-
-    def test_registry_builds_both_backends(self):
-        for name in ("array", "dict"):
-            cache = make_cache_backend(name, 4, 20, 0)
-            assert cache.size == 4
-        with pytest.raises(KeyError, match="unknown cache backend"):
-            make_cache_backend("sqlite", 4, 20, 0)
 
 
 class TestGather:
@@ -76,7 +67,7 @@ class TestGather:
         index = _index()
         array_cache = ArrayNegativeCache(5, 50, np.random.default_rng(7))
         array_cache.attach_index(index)
-        dict_cache = make_cache_backend("dict", 5, 50, np.random.default_rng(7))
+        dict_cache = NegativeCache(5, 50, np.random.default_rng(7))
         dict_cache.attach_index(index)
         rows = np.array([3, 1, 3, 0])
         np.testing.assert_array_equal(
@@ -255,7 +246,7 @@ class TestMultisetOverlapWideIds:
         n_entities = 2**61
         index = _index(n_keys=4)
         array_cache = ArrayNegativeCache(3, n_entities, np.random.default_rng(0))
-        dict_cache = make_cache_backend("dict", 3, n_entities, np.random.default_rng(0))
+        dict_cache = NegativeCache(3, n_entities, np.random.default_rng(0))
         array_cache.attach_index(index)
         dict_cache.attach_index(index)
         rows = np.array([0, 1])

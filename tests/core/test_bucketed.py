@@ -1,10 +1,9 @@
-"""Tests for the memory-bounded bucketed array cache."""
+"""Tests for the bucket row map (``n_buckets``) of the array cache."""
 
 import numpy as np
 import pytest
 
-from repro.core.bucketed import BucketedArrayCache
-from repro.core.store import CacheStore, backend_options, make_cache_backend
+from repro.core.array_cache import ArrayNegativeCache
 from repro.data.keyindex import KeyIndex
 
 
@@ -16,7 +15,7 @@ def _index(n_keys: int = 8, n_second: int = 100) -> KeyIndex:
 
 def _cache(size=5, n_entities=50, seed=0, n_keys=8, n_second=100, n_buckets=4,
            **kwargs):
-    cache = BucketedArrayCache(
+    cache = ArrayNegativeCache(
         size, n_entities, np.random.default_rng(seed), n_buckets=n_buckets, **kwargs
     )
     cache.attach_index(_index(n_keys, n_second))
@@ -26,24 +25,20 @@ def _cache(size=5, n_entities=50, seed=0, n_keys=8, n_second=100, n_buckets=4,
 class TestConstruction:
     def test_invalid_buckets_rejected(self):
         with pytest.raises(ValueError, match="n_buckets"):
-            BucketedArrayCache(4, 100, n_buckets=0)
+            ArrayNegativeCache(4, 100, n_buckets=0)
 
     def test_gather_before_attach_rejected(self):
-        cache = BucketedArrayCache(5, 20, n_buckets=4)
+        cache = ArrayNegativeCache(5, 20, n_buckets=4)
         with pytest.raises(RuntimeError, match="attach_index"):
             cache.gather(np.array([0]))
 
-    def test_satisfies_protocol(self):
-        assert isinstance(_cache(), CacheStore)
-
-    def test_registry_builds_backend_with_options(self):
-        cache = make_cache_backend("bucketed-array", 4, 20, 0, n_buckets=3)
-        assert cache.size == 4 and cache.n_buckets == 3
-        assert backend_options("bucketed-array") == {"n_buckets"}
-
-    def test_registry_rejects_option_for_plain_backends(self):
-        with pytest.raises(ValueError, match="does not accept option"):
-            make_cache_backend("array", 4, 20, 0, n_buckets=3)
+    def test_bucket_introspection_needs_buckets(self):
+        cache = ArrayNegativeCache(4, 20, 0)
+        cache.attach_index(_index())
+        with pytest.raises(RuntimeError, match="n_buckets"):
+            cache.load_factor()
+        with pytest.raises(RuntimeError, match="n_buckets"):
+            cache.memory_bound_bytes()
 
 
 class TestMemoryBound:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.hashed import HashedNegativeCache
 from repro.core.nscaching import NSCachingSampler
 from repro.core.strategies import SampleStrategy, UpdateStrategy
 from repro.models import make_model
+
+from cache_oracles import UnfusedRefreshSampler
 
 
 @pytest.fixture
@@ -36,6 +37,82 @@ class TestConstruction:
     def test_repr_mentions_paper_knobs(self):
         text = repr(NSCachingSampler(cache_size=50, candidate_size=70))
         assert "N1=50" in text and "N2=70" in text
+
+
+class TestCacheLayout:
+    """n_buckets / n_shards / refresh_workers pick the one engine's layout;
+    cache_backend only restates it."""
+
+    def _bound(self, tiny_kg, **kwargs):
+        model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
+        return NSCachingSampler(cache_size=4, candidate_size=4, **kwargs).bind(
+            model, tiny_kg, rng=0
+        )
+
+    def test_sequential_benchmark_call_shape_builds_heap_layout(self, tiny_kg):
+        sampler = self._bound(tiny_kg, cache_backend="array")
+        try:
+            assert sampler.cache_backend == "array"
+            for cache in (sampler.head_cache, sampler.tail_cache):
+                assert cache.n_shards is None and cache.plan is None
+                assert cache.n_buckets is None
+        finally:
+            sampler.close()
+
+    def test_pooled_benchmark_call_shape_builds_shared_layout(self, tiny_kg):
+        sampler = self._bound(
+            tiny_kg,
+            cache_backend="sharded-array",
+            refresh_workers=2,
+            refresh_overlap=True,
+        )
+        try:
+            assert sampler.cache_backend == "sharded-array"
+            assert sampler.n_shards == 2  # defaults to the worker count
+            for cache in (sampler.head_cache, sampler.tail_cache):
+                assert cache.n_shards == 2 and cache.plan.n_shards == 2
+                assert cache.n_buckets is None
+        finally:
+            sampler.close()
+
+    def test_n_shards_alone_shares_storage(self, tiny_kg):
+        sampler = self._bound(tiny_kg, n_shards=3, n_buckets=5)
+        try:
+            assert sampler.cache_backend == "sharded-array"
+            assert sampler.head_cache.plan.n_rows == 5
+        finally:
+            sampler.close()
+
+    @pytest.mark.parametrize(
+        "backend, kwargs",
+        (
+            ("dict", {}),
+            ("hashed", {"n_buckets": 8}),
+            ("bucketed-array", {"n_buckets": 8}),
+            ("array", {"refresh_workers": 2}),
+            ("sharded-array", {}),
+        ),
+    )
+    def test_cache_backend_mismatch_names_the_layout_arguments(self, backend, kwargs):
+        with pytest.raises(ValueError, match="n_buckets.*n_shards"):
+            NSCachingSampler(cache_backend=backend, **kwargs)
+
+    @pytest.mark.parametrize(
+        "removed",
+        (
+            {"fused": False},
+            {"cache_options": {"n_buckets": 4}},
+            {"cache_factory": lambda *args, **kwargs: None},
+        ),
+    )
+    def test_removed_keywords_rejected(self, removed):
+        with pytest.raises(TypeError, match=next(iter(removed))):
+            NSCachingSampler(**removed)
+
+    @pytest.mark.parametrize("name", ("n_buckets", "n_shards"))
+    def test_bad_layout_counts_rejected_before_bind(self, name):
+        with pytest.raises(ValueError, match=name):
+            NSCachingSampler(**{name: 0})
 
 
 class TestSampling:
@@ -152,23 +229,18 @@ class TestUpdateModes:
 
 
 class TestFusedRefresh:
-    def test_fused_by_default_and_in_repr(self):
-        sampler = NSCachingSampler()
-        assert sampler.fused
-        assert "fused=True" in repr(sampler)
-
     def test_reference_path_runs(self, tiny_kg):
         model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
-        sampler = NSCachingSampler(cache_size=4, candidate_size=4, fused=False)
+        sampler = UnfusedRefreshSampler(cache_size=4, candidate_size=4)
         sampler.bind(model, tiny_kg, rng=0)
         batch = tiny_kg.train[:8]
         sampler.update(batch, sampler.sample(batch))
         assert sampler.changed_elements() > 0
 
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_nan_embedding_stops_the_refresh(self, tiny_kg, fused):
+    @pytest.mark.parametrize("sampler_cls", [NSCachingSampler, UnfusedRefreshSampler])
+    def test_nan_embedding_stops_the_refresh(self, tiny_kg, sampler_cls):
         model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
-        sampler = NSCachingSampler(cache_size=4, candidate_size=4, fused=fused)
+        sampler = sampler_cls(cache_size=4, candidate_size=4)
         sampler.bind(model, tiny_kg, rng=0)
         batch = tiny_kg.train[:8]
         model.params["entity"][batch[3, 0]] = np.nan  # a head the tail side scores
@@ -230,12 +302,7 @@ class TestStrategyVariants:
 class TestHashedCacheIntegration:
     def test_hashed_cache_bounds_entries(self, tiny_kg):
         model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
-        factory = lambda size, n, rng, store_scores: HashedNegativeCache(  # noqa: E731
-            size, n, rng, n_buckets=7, store_scores=store_scores
-        )
-        sampler = NSCachingSampler(
-            cache_size=4, candidate_size=4, cache_factory=factory
-        )
+        sampler = NSCachingSampler(cache_size=4, candidate_size=4, n_buckets=7)
         sampler.bind(model, tiny_kg, rng=0)
         for start in range(0, len(tiny_kg.train), 32):
             batch = tiny_kg.train[start : start + 32]

@@ -83,7 +83,7 @@ class TestTripleKeyIndex:
 
 class TestStableKeyHash:
     def test_matches_scalar_reference(self):
-        from repro.core.hashed import stable_key_hash as scalar_hash
+        from cache_oracles import stable_key_hash as scalar_hash
 
         rng = np.random.default_rng(3)
         first = rng.integers(0, 10**12, size=500)
@@ -133,7 +133,7 @@ class TestBucketIndex:
 
     def test_matches_dict_hashed_bucketing(self):
         """Same hash, same buckets as HashedNegativeCache's scalar path."""
-        from repro.core.hashed import stable_key_hash as scalar_hash
+        from cache_oracles import stable_key_hash as scalar_hash
 
         index = self._index(25)
         buckets = BucketIndex(index, 7)

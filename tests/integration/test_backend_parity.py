@@ -1,9 +1,12 @@
-"""Dict ↔ array cache-backend and fused ↔ reference refresh parity.
+"""Dict-oracle ↔ array-engine and fused ↔ reference refresh parity.
 
 The array engine and the fused score-and-select refresh are performance
-refactors, not behaviour changes: under the same seed both cache backends
-— and both refresh orchestrations — must produce identical cache entries,
-CE counts, memory accounting and training trajectories.
+refactors of the oracles in ``tests/cache_oracles.py``, not behaviour
+changes: under the same seed the engine (one row per key, or bucket rows)
+and its dict oracle — and both refresh orchestrations — must produce
+identical cache entries, CE counts, memory accounting and training
+trajectories.  The dict oracles also check every CE hint the fused
+refresh derives.
 """
 
 import numpy as np
@@ -12,15 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.array_cache import ArrayNegativeCache
-from repro.core.bucketed import BucketedArrayCache
-from repro.core.cache import NegativeCache
-from repro.core.hashed import HashedNegativeCache
 from repro.core.nscaching import NSCachingSampler
 from repro.data.keyindex import BucketIndex, KeyIndex
 from repro.data.synthetic import SyntheticKGConfig, generate_kg
 from repro.models import MODEL_REGISTRY, make_model
 from repro.train.config import TrainConfig
 from repro.train.trainer import Trainer
+
+from cache_oracles import (
+    HashedNegativeCache,
+    NegativeCache,
+    OracleCacheSampler,
+    UnfusedRefreshSampler,
+)
 
 N_KEYS = 6
 N_ENTITIES = 30
@@ -84,7 +91,7 @@ class TestOperationSequenceParity:
 N_BUCKETS = 3  # < N_KEYS so the parity ops exercise collisions
 
 
-def _hashed_pair() -> tuple[HashedNegativeCache, BucketedArrayCache]:
+def _hashed_pair() -> tuple[HashedNegativeCache, ArrayNegativeCache]:
     index = KeyIndex(
         np.arange(N_KEYS, dtype=np.int64),
         np.arange(N_KEYS, dtype=np.int64),
@@ -93,7 +100,7 @@ def _hashed_pair() -> tuple[HashedNegativeCache, BucketedArrayCache]:
     dict_hashed = HashedNegativeCache(
         ENTRY, N_ENTITIES, np.random.default_rng(99), n_buckets=N_BUCKETS
     )
-    bucketed = BucketedArrayCache(
+    bucketed = ArrayNegativeCache(
         ENTRY, N_ENTITIES, np.random.default_rng(99), n_buckets=N_BUCKETS
     )
     dict_hashed.attach_index(index)
@@ -172,18 +179,18 @@ class TestHashedBucketedParity:
 
     @pytest.mark.parametrize("n_buckets", (1, 7))
     def test_same_seed_same_training_trajectory(self, tiny_kg, n_buckets):
-        """End to end: both memory-bounded backends land on identical
+        """End to end: the hashed oracle and bucket rows land on identical
         parameters, losses and CE series under one seed."""
         results = []
-        for backend in ("hashed", "bucketed-array"):
+        for oracle in (HashedNegativeCache, None):
             model = make_model(
                 "TransE", tiny_kg.n_entities, tiny_kg.n_relations, 16, rng=0
             )
-            sampler = NSCachingSampler(
-                cache_size=8,
-                candidate_size=8,
-                cache_backend=backend,
-                cache_options={"n_buckets": n_buckets},
+            options = dict(cache_size=8, candidate_size=8, n_buckets=n_buckets)
+            sampler = (
+                NSCachingSampler(**options)
+                if oracle is None
+                else OracleCacheSampler(oracle, **options)
             )
             trainer = Trainer(
                 model,
@@ -207,25 +214,30 @@ class TestHashedBucketedParity:
 
 
 class TestTrainingParity:
-    def _history(self, tiny_kg, backend):
+    def _history(self, tiny_kg, oracle, batch_size):
         model = make_model(
             "TransE", tiny_kg.n_entities, tiny_kg.n_relations, 16, rng=0
         )
-        sampler = NSCachingSampler(
-            cache_size=8, candidate_size=8, cache_backend=backend
+        sampler = (
+            NSCachingSampler(cache_size=8, candidate_size=8)
+            if oracle is None
+            else OracleCacheSampler(oracle, cache_size=8, candidate_size=8)
         )
         trainer = Trainer(
             model,
             tiny_kg,
             sampler,
-            TrainConfig(epochs=4, batch_size=64, learning_rate=0.05, seed=0),
+            TrainConfig(epochs=4, batch_size=batch_size, learning_rate=0.05, seed=0),
         )
         history = trainer.run()
         return history, trainer
 
-    def test_same_seed_same_loss_trajectory(self, tiny_kg):
-        dict_history, dict_trainer = self._history(tiny_kg, "dict")
-        array_history, array_trainer = self._history(tiny_kg, "array")
+    # Small batches rarely repeat a cache key, so most refreshes take the
+    # fused CE hint, which the dict oracle checks against its recount.
+    @pytest.mark.parametrize("batch_size", (64, 8))
+    def test_same_seed_same_loss_trajectory(self, tiny_kg, batch_size):
+        dict_history, dict_trainer = self._history(tiny_kg, NegativeCache, batch_size)
+        array_history, array_trainer = self._history(tiny_kg, None, batch_size)
         np.testing.assert_allclose(
             dict_history["loss"].values, array_history["loss"].values, atol=1e-8
         )
@@ -289,16 +301,15 @@ class TestFusedRefreshParity:
     ):
         dataset = _PARITY_KG
         samplers = []
-        for fused in (True, False):
+        for sampler_cls in (NSCachingSampler, UnfusedRefreshSampler):
             model = make_model(
                 model_name, dataset.n_entities, dataset.n_relations, 6, rng=seed
             )
-            sampler = NSCachingSampler(
+            sampler = sampler_cls(
                 cache_size=n1,
                 candidate_size=n2,
                 update_strategy=update_strategy,
                 sample_strategy=sample_strategy,
-                fused=fused,
             )
             sampler.bind(model, dataset, rng=seed)
             samplers.append(sampler)
@@ -321,11 +332,11 @@ class TestFusedRefreshParity:
     def test_training_trajectory_bit_identical(self, tiny_kg, model_name):
         """End-to-end: fused and reference runs land on identical parameters."""
         params = []
-        for fused in (True, False):
+        for sampler_cls in (NSCachingSampler, UnfusedRefreshSampler):
             model = make_model(
                 model_name, tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0
             )
-            sampler = NSCachingSampler(cache_size=6, candidate_size=6, fused=fused)
+            sampler = sampler_cls(cache_size=6, candidate_size=6)
             Trainer(
                 model,
                 tiny_kg,

@@ -1,10 +1,10 @@
-"""Training-level parity for the sharded backend and the parallel refresh.
+"""Training-level parity for shared cache storage and the parallel refresh.
 
 Three contracts, end to end through the Trainer:
 
-* ``sharded-array`` with **any** ``n_shards`` and ``refresh_workers=1``
-  is bit-identical to the plain ``array`` backend (and the bucketed inner
-  scheme to ``bucketed-array``) — losses, CE series and final parameters;
+* shared storage with **any** ``n_shards`` and ``refresh_workers=1`` is
+  bit-identical to heap storage with the same row map (one row per key,
+  or ``n_buckets`` bucket rows) — losses, CE series and final parameters;
 * with ``refresh_workers >= 2`` training is deterministic: repeated
   seeded runs, different worker counts, and the in-process fallback all
   land on identical parameters and CE series;
@@ -55,7 +55,7 @@ def _train(tiny_kg, backend, *, options=None, workers=1, processes=True,
         cache_size=8,
         candidate_size=8,
         cache_backend=backend,
-        cache_options=options,
+        **(options or {}),
         refresh_workers=workers,
         refresh_processes=processes,
         refresh_overlap=overlap,
@@ -87,7 +87,7 @@ def _assert_same_outcome(a, b):
 
 
 class TestSequentialParity:
-    """refresh_workers=1: the sharded backend is the array backend."""
+    """refresh_workers=1: shared storage is heap storage."""
 
     @pytest.mark.parametrize("n_shards", (1, 4, 7))
     def test_sharded_matches_array_backend(self, tiny_kg, n_shards):
@@ -105,12 +105,12 @@ class TestSequentialParity:
 
     def test_sharded_bucketed_matches_bucketed_array(self, tiny_kg):
         model_b, history_b, trainer_b = _train(
-            tiny_kg, "bucketed-array", options={"n_buckets": 16}
+            tiny_kg, "array", options={"n_buckets": 16}
         )
         model_s, history_s, trainer_s = _train(
             tiny_kg,
             "sharded-array",
-            options={"n_shards": 3, "inner": "bucketed-array", "n_buckets": 16},
+            options={"n_shards": 3, "n_buckets": 16},
         )
         try:
             _assert_same_outcome(
@@ -216,7 +216,7 @@ class TestParallelSurface:
         disappear from the report instead of crashing."""
         for options in (
             {"n_shards": 3},
-            {"n_shards": 3, "inner": "bucketed-array", "n_buckets": 16},
+            {"n_shards": 3, "n_buckets": 16},
         ):
             model, history, trainer = _train(
                 tiny_kg, "sharded-array", options=options, epochs=1
@@ -226,14 +226,6 @@ class TestParallelSurface:
             stats = trainer.cache_report()
             assert stats["backend"] == "sharded-array"
             assert "head_shard_live_rows" not in stats
-
-    def test_workers_reject_unfused_refresh(self):
-        """The pool always runs the fused kernel: fused=False must be
-        rejected up front rather than silently ignored."""
-        with pytest.raises(ValueError, match="fused"):
-            NSCachingSampler(
-                refresh_workers=2, cache_backend="sharded-array", fused=False
-            )
 
     @needs_fork
     def test_lazy_epochs_with_parallel_refresh(self, tiny_kg):
@@ -246,7 +238,7 @@ class TestParallelSurface:
             sampler = NSCachingSampler(
                 cache_size=4, candidate_size=4, lazy_epochs=1,
                 cache_backend="sharded-array",
-                cache_options={"n_shards": 3}, refresh_workers=WORKERS,
+                n_shards=3, refresh_workers=WORKERS,
             )
             trainer = Trainer(
                 model, tiny_kg, sampler,

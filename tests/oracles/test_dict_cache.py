@@ -1,10 +1,11 @@
-"""Tests for the negative cache data structure."""
+"""Tests for the dict negative-cache oracle."""
 
 import numpy as np
 import pytest
 
-from repro.core.cache import NegativeCache, _multiset_overlap
 from repro.data.keyindex import KeyIndex
+
+from cache_oracles import NegativeCache, _multiset_overlap
 
 
 class TestCacheBasics:
@@ -81,7 +82,7 @@ class TestEntriesAreReadOnly:
 
 
 class TestRowAdapters:
-    """The dict cache speaks the row-addressed CacheStore protocol too."""
+    """The dict cache speaks the engine's row-addressed surface too."""
 
     def _with_index(self, rng, size=3, n_keys=4):
         from repro.data.keyindex import KeyIndex
@@ -107,6 +108,14 @@ class TestRowAdapters:
         # Sequential puts: 3 changed on the fresh row, then 1 more.
         assert changed == 4
         np.testing.assert_array_equal(cache.get((1, 1)), [1, 2, 9])
+
+    def test_scatter_checks_changed_hint(self, rng):
+        """A caller-derived CE hint must equal the multiset recount."""
+        cache = self._with_index(rng)
+        ids = np.array([[1, 2, 3], [4, 5, 6]])
+        assert cache.scatter(np.array([0, 1]), ids, changed=6) == 6
+        with pytest.raises(AssertionError, match="CE hint 1 != multiset recount 0"):
+            cache.scatter(np.array([0, 1]), ids, changed=1)
 
     def test_gather_without_index_rejected(self, rng):
         cache = NegativeCache(3, 20, rng)

@@ -1,9 +1,9 @@
-"""Tests for the memory-bounded hashed cache extension."""
+"""Tests for the dict-bucket hashed cache oracle (§VI extension)."""
 
 import numpy as np
 import pytest
 
-from repro.core.hashed import HashedNegativeCache, stable_key_hash
+from cache_oracles import HashedNegativeCache, stable_key_hash
 
 
 class TestStableKeyHash:
@@ -55,36 +55,16 @@ class TestHashedCache:
         assert (123, 456) in cache  # same single bucket
 
 
-class TestRegistryReachability:
-    def test_hashed_is_a_registered_backend(self, rng):
-        """Regression: the SVI extension was unreachable from the backend
-        registry (only array/dict were listed, and its n_buckets kwarg
-        could not be passed through)."""
-        from repro.core.store import cache_backend_names, make_cache_backend
-
-        assert "hashed" in cache_backend_names()
-        cache = make_cache_backend("hashed", 4, 100, rng, n_buckets=5)
-        assert isinstance(cache, HashedNegativeCache)
-        assert cache.n_buckets == 5
-
-    def test_sampler_accepts_hashed_backend(self):
-        from repro.core.nscaching import NSCachingSampler
-
-        sampler = NSCachingSampler(
-            cache_backend="hashed", cache_options={"n_buckets": 7}
-        )
-        assert sampler.cache_backend == "hashed"
-        assert sampler.cache_options == {"n_buckets": 7}
-
+class TestBucketParity:
     def test_bucket_introspection_matches_bucketed_array(self, rng):
         """Same hash, same buckets: the dict reference reports the same
         load factor / collision counts as the array sibling."""
-        from repro.core.bucketed import BucketedArrayCache
+        from repro.core.array_cache import ArrayNegativeCache
         from repro.data.keyindex import KeyIndex
 
         index = KeyIndex(np.arange(12), np.arange(12), 12)
         hashed = HashedNegativeCache(4, 100, rng, n_buckets=3)
-        bucketed = BucketedArrayCache(4, 100, rng, n_buckets=3)
+        bucketed = ArrayNegativeCache(4, 100, rng, n_buckets=3)
         hashed.attach_index(index)
         bucketed.attach_index(index)
         assert hashed.load_factor() == bucketed.load_factor() == 4.0

@@ -11,11 +11,11 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
+from repro.core.array_cache import ArrayNegativeCache
 from repro.core.strategies import UpdateStrategy
 from repro.data.keyindex import KeyIndex
 from repro.models import make_model
 from repro.parallel.pool import RefreshPool, ShardTask
-from repro.parallel.sharded import make_sharded_cache
 
 N_ENTITIES = 25
 N_RELATIONS = 4
@@ -40,7 +40,7 @@ def _make_pool(n_workers, use_processes, n_shards=3, seed=7, **pool_kwargs):
     model = make_model("DistMult", N_ENTITIES, N_RELATIONS, 6, rng=0)
     caches = {}
     for mode in ("head", "tail"):
-        store = make_sharded_cache(
+        store = ArrayNegativeCache(
             ENTRY, N_ENTITIES, np.random.default_rng(5), n_shards=n_shards
         )
         store.attach_index(_head_index())

@@ -1,9 +1,10 @@
-"""ShardedCacheStore ↔ unsharded backend bit-parity and lifecycle.
+"""Shared-memory ↔ heap storage bit-parity and lifecycle.
 
-Sharding only changes where the storage bytes live (shared memory) and
-how the row-space is described (the shard plan); gather/scatter/CE/RNG
-semantics must be bit-identical to the unsharded inner backend for any
-``n_shards`` — including colliding bucket writes and co-stored scores.
+The allocator (``n_shards``) only changes where the storage bytes live
+(shared memory) and how the row-space is described (the shard plan);
+gather/scatter/CE/RNG semantics must be bit-identical to the heap
+sibling with the same row map (``n_buckets``) for any ``n_shards`` —
+including colliding bucket writes and co-stored scores.
 """
 
 import numpy as np
@@ -12,15 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.array_cache import ArrayNegativeCache
-from repro.core.bucketed import BucketedArrayCache
-from repro.core.store import make_cache_backend
 from repro.data.keyindex import KeyIndex
-from repro.parallel.sharded import (
-    ShardedArrayCache,
-    ShardedBucketedArrayCache,
-    ShardedCacheStore,
-    make_sharded_cache,
-)
 
 N_KEYS = 6
 N_ENTITIES = 30
@@ -36,28 +29,18 @@ def _index() -> KeyIndex:
     )
 
 
-def _pair(inner, n_shards, store_scores=False):
-    """(unsharded reference, sharded store) with identical seeds."""
-    if inner == "array":
-        reference = ArrayNegativeCache(
-            ENTRY, N_ENTITIES, np.random.default_rng(99), store_scores=store_scores
-        )
-    else:
-        reference = BucketedArrayCache(
+def _pair(n_buckets, n_shards, store_scores=False):
+    """(heap reference, layout under test) with identical seeds."""
+    reference, sharded = (
+        ArrayNegativeCache(
             ENTRY,
             N_ENTITIES,
             np.random.default_rng(99),
-            n_buckets=N_BUCKETS,
             store_scores=store_scores,
+            n_buckets=n_buckets,
+            n_shards=shards,
         )
-    sharded = make_sharded_cache(
-        ENTRY,
-        N_ENTITIES,
-        np.random.default_rng(99),
-        store_scores=store_scores,
-        n_shards=n_shards,
-        inner=inner,
-        n_buckets=N_BUCKETS if inner == "bucketed-array" else None,
+        for shards in (None, n_shards)
     )
     index = _index()
     reference.attach_index(index)
@@ -76,20 +59,24 @@ _ops = st.lists(
 
 
 class TestShardedUnshardedParity:
-    """The tentpole invariant: n_shards is storage layout, not semantics."""
+    """The allocator invariant: n_shards is storage layout, not semantics.
+
+    Covers the full row-map x allocator grid: ``n_buckets`` in {None,
+    N_BUCKETS} x ``n_shards`` in {None, 1, 2, 3, 5}.
+    """
 
     @given(
         ops=_ops,
         data_seed=st.integers(0, 2**16),
-        n_shards=st.sampled_from([1, 2, 3, 5]),
-        inner=st.sampled_from(["array", "bucketed-array"]),
+        n_shards=st.sampled_from([None, 1, 2, 3, 5]),
+        n_buckets=st.sampled_from([None, N_BUCKETS]),
         store_scores=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_same_entries_scores_and_ce(
-        self, ops, data_seed, n_shards, inner, store_scores
+        self, ops, data_seed, n_shards, n_buckets, store_scores
     ):
-        reference, sharded = _pair(inner, n_shards, store_scores)
+        reference, sharded = _pair(n_buckets, n_shards, store_scores)
         try:
             data_rng = np.random.default_rng(data_seed)
             for op, row_list in ops:
@@ -130,7 +117,7 @@ class TestShardedUnshardedParity:
 
 class TestShardPlanIntrospection:
     def test_plan_covers_storage_rows(self):
-        _, sharded = _pair("array", 3)
+        _, sharded = _pair(None, 3)
         try:
             assert sharded.plan.n_rows == N_KEYS
             assert sharded.plan.n_shards == 3
@@ -139,7 +126,7 @@ class TestShardPlanIntrospection:
             sharded.close()
 
     def test_bucketed_plan_partitions_buckets_not_keys(self):
-        _, sharded = _pair("bucketed-array", 2)
+        _, sharded = _pair(N_BUCKETS, 2)
         try:
             assert sharded.plan.n_rows == N_BUCKETS
             # Every key's bucket row falls in some shard; collisions mean
@@ -149,7 +136,7 @@ class TestShardPlanIntrospection:
             sharded.close()
 
     def test_shard_occupancy_tracks_live_rows(self):
-        _, sharded = _pair("array", 2)
+        _, sharded = _pair(None, 2)
         try:
             assert sharded.shard_occupancy().sum() == 0
             sharded.gather(np.array([0, 5]))  # materialises two rows
@@ -162,7 +149,7 @@ class TestShardPlanIntrospection:
 
 class TestLifecycle:
     def test_close_releases_and_blocks_access(self):
-        _, sharded = _pair("array", 2)
+        _, sharded = _pair(None, 2)
         sharded.gather(np.array([0]))
         sharded.close()
         with pytest.raises(RuntimeError, match="no storage"):
@@ -174,7 +161,7 @@ class TestLifecycle:
         sharded.close()  # idempotent
 
     def test_reattach_replaces_segments(self):
-        _, sharded = _pair("array", 2)
+        _, sharded = _pair(None, 2)
         try:
             sharded.gather(np.array([0]))
             sharded.attach_index(_index())
@@ -182,44 +169,20 @@ class TestLifecycle:
         finally:
             sharded.close()
 
-    def test_registry_constructs_sharded_backend(self):
-        store = make_cache_backend(
-            "sharded-array", ENTRY, N_ENTITIES, 0, n_shards=2
-        )
-        assert isinstance(store, ShardedArrayCache)
-        store.attach_index(_index())
-        store.close()
-        bucketed = make_cache_backend(
-            "sharded-array", ENTRY, N_ENTITIES, 0,
-            n_shards=2, inner="bucketed-array", n_buckets=N_BUCKETS,
-        )
-        assert isinstance(bucketed, ShardedBucketedArrayCache)
-        assert isinstance(bucketed, ShardedCacheStore)
-        bucketed.attach_index(_index())
-        bucketed.close()
+    def test_heap_layout_has_no_shard_plan(self):
+        heap, _ = _pair(None, 2)
+        heap.close()  # a no-op: nothing shared to release
+        assert heap.n_entries == 0 and heap.gather(np.array([0])).shape == (1, ENTRY)
+        with pytest.raises(RuntimeError, match="no shard plan"):
+            heap.worker_layout()
 
 
 class TestOptionValidation:
-    """Bad option values fail early with ValueError (the CLI exit-2 path)."""
+    """Bad layout counts fail at construction with ValueError (the CLI
+    exit-2 path), before any allocation."""
 
-    @pytest.mark.parametrize(
-        "options",
-        (
-            {"n_shards": 0},
-            {"n_shards": -3},
-            {"n_shards": 2.5},
-            {"n_shards": True},
-            {"inner": "dict"},
-            {"n_buckets": 0, "inner": "bucketed-array"},
-            {"n_buckets": 8},  # n_buckets without the bucketed inner scheme
-        ),
-    )
-    def test_sharded_option_values_rejected(self, options):
-        with pytest.raises(ValueError):
-            make_cache_backend("sharded-array", ENTRY, N_ENTITIES, 0, **options)
-
-    @pytest.mark.parametrize("backend", ("hashed", "bucketed-array"))
-    @pytest.mark.parametrize("n_buckets", (0, -1, "many"))
-    def test_bucket_counts_rejected_before_allocation(self, backend, n_buckets):
-        with pytest.raises(ValueError, match="n_buckets"):
-            make_cache_backend(backend, ENTRY, N_ENTITIES, 0, n_buckets=n_buckets)
+    @pytest.mark.parametrize("name", ("n_shards", "n_buckets"))
+    @pytest.mark.parametrize("value", (0, -3, 2.5, True, "many"))
+    def test_layout_counts_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ArrayNegativeCache(ENTRY, N_ENTITIES, 0, **{name: value})

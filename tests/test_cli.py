@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sampling import make_sampler
 
 
 class TestParser:
@@ -24,23 +25,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--checkpoint", "m.npz"])
 
-    def test_train_cache_backend_default_and_choices(self):
+    def test_train_profile_flag_and_removed_cache_flags(self):
         args = build_parser().parse_args(
             ["train", "--dataset", "WN18RR", "--model", "TransE"]
         )
-        assert args.cache_backend == "array"
+        assert args.n_buckets is None and args.n_shards is None
         assert args.profile is False
         args = build_parser().parse_args(
-            ["train", "--dataset", "WN18RR", "--model", "TransE",
-             "--cache-backend", "dict", "--profile"]
+            ["train", "--dataset", "WN18RR", "--model", "TransE", "--profile"]
         )
-        assert args.cache_backend == "dict"
         assert args.profile is True
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["train", "--dataset", "WN18RR", "--model", "TransE",
-                 "--cache-backend", "sqlite"]
-            )
+        # The layout follows --n-buckets/--n-shards/--refresh-workers.
+        for removed in (["--cache-backend", "dict"], ["--no-fused-refresh"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["train", "--dataset", "WN18RR", "--model", "TransE", *removed]
+                )
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(
@@ -67,9 +67,9 @@ class TestCommands:
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
         assert "Table IV" in out
-        assert "cache-engine throughput" in out
+        assert "bucketed array cache" in out
 
-    def test_train_profile_and_dict_backend(self, capsys):
+    def test_train_profile(self, capsys):
         code = main(
             [
                 "train",
@@ -81,7 +81,6 @@ class TestCommands:
                 "--scale", "0.05",
                 "--cache-size", "4",
                 "--candidate-size", "4",
-                "--cache-backend", "dict",
                 "--profile",
             ]
         )
@@ -166,19 +165,15 @@ class TestCommands:
 
 
 class TestMemoryBoundedBackends:
-    def test_parser_accepts_bounded_backends_and_buckets(self):
+    def test_parser_accepts_buckets(self):
+        from repro.cli import _sampler_kwargs
+
         args = build_parser().parse_args(
             ["train", "--dataset", "WN18RR", "--model", "TransE",
-             "--cache-backend", "bucketed-array", "--n-buckets", "64"]
+             "--n-buckets", "64"]
         )
-        assert args.cache_backend == "bucketed-array"
         assert args.n_buckets == 64
-        args = build_parser().parse_args(
-            ["train", "--dataset", "WN18RR", "--model", "TransE",
-             "--cache-backend", "hashed"]
-        )
-        assert args.cache_backend == "hashed"
-        assert args.n_buckets is None
+        assert _sampler_kwargs(args)["n_buckets"] == 64
 
     def test_train_bucketed_array_end_to_end(self, capsys):
         code = main(
@@ -191,7 +186,6 @@ class TestMemoryBoundedBackends:
                 "--scale", "0.05",
                 "--cache-size", "4",
                 "--candidate-size", "4",
-                "--cache-backend", "bucketed-array",
                 "--n-buckets", "16",
                 "--profile",
             ]
@@ -204,47 +198,11 @@ class TestMemoryBoundedBackends:
         assert "allocated_bytes" in out
         assert "head_load_factor" in out
 
-    def test_train_hashed_backend_reachable(self, capsys):
-        """Regression: `hashed` used to be missing from the registry, so
-        the paper's SVI extension was unreachable from the CLI."""
-        code = main(
-            [
-                "train",
-                "--dataset", "WN18RR",
-                "--model", "TransE",
-                "--epochs", "1",
-                "--dim", "8",
-                "--scale", "0.05",
-                "--cache-size", "4",
-                "--candidate-size", "4",
-                "--cache-backend", "hashed",
-                "--n-buckets", "8",
-            ]
-        )
-        assert code == 0
-        assert "mrr" in capsys.readouterr().out
-
-    def test_n_buckets_with_plain_backend_fails_cleanly(self, capsys):
-        code = main(
-            [
-                "train",
-                "--dataset", "WN18RR",
-                "--model", "TransE",
-                "--epochs", "1",
-                "--dim", "8",
-                "--scale", "0.05",
-                "--cache-backend", "array",
-                "--n-buckets", "16",
-            ]
-        )
-        assert code == 2
-        assert "does not accept option" in capsys.readouterr().err
-
     def test_non_positive_n_buckets_rejected_at_parse(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
                 ["train", "--dataset", "WN18RR", "--model", "TransE",
-                 "--cache-backend", "bucketed-array", "--n-buckets", "0"]
+                 "--n-buckets", "0"]
             )
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
@@ -254,10 +212,8 @@ class TestParallelRefreshCLI:
     def test_parser_accepts_shards_and_workers(self):
         args = build_parser().parse_args(
             ["train", "--dataset", "WN18RR", "--model", "TransE",
-             "--cache-backend", "sharded-array",
              "--n-shards", "4", "--refresh-workers", "2"]
         )
-        assert args.cache_backend == "sharded-array"
         assert args.n_shards == 4
         assert args.refresh_workers == 2
 
@@ -266,25 +222,24 @@ class TestParallelRefreshCLI:
 
         args = build_parser().parse_args(
             ["train", "--dataset", "WN18RR", "--model", "TransE",
-             "--sampler", "NSCaching",
-             "--cache-backend", "sharded-array", "--refresh-workers", "3"]
+             "--sampler", "NSCaching", "--refresh-workers", "3"]
         )
         kwargs = _sampler_kwargs(args)
-        assert kwargs["cache_options"] == {"n_shards": 3}
+        assert kwargs["n_shards"] is None
         assert kwargs["refresh_workers"] == 3
+        sampler = make_sampler("NSCaching", **kwargs)
+        assert sampler.n_shards == 3
+        assert sampler.cache_backend == "sharded-array"
 
-    def test_n_buckets_selects_bucketed_inner_scheme(self):
+    def test_n_buckets_and_n_shards_reach_the_sampler(self):
         from repro.cli import _sampler_kwargs
 
         args = build_parser().parse_args(
             ["train", "--dataset", "WN18RR", "--model", "TransE",
-             "--cache-backend", "sharded-array",
              "--n-shards", "2", "--n-buckets", "32"]
         )
-        kwargs = _sampler_kwargs(args)
-        assert kwargs["cache_options"] == {
-            "n_shards": 2, "n_buckets": 32, "inner": "bucketed-array"
-        }
+        sampler = make_sampler("NSCaching", **_sampler_kwargs(args))
+        assert (sampler.n_shards, sampler.n_buckets) == (2, 32)
 
     def test_train_sharded_backend_end_to_end(self, capsys):
         code = main(
@@ -297,7 +252,6 @@ class TestParallelRefreshCLI:
                 "--scale", "0.05",
                 "--cache-size", "4",
                 "--candidate-size", "4",
-                "--cache-backend", "sharded-array",
                 "--n-shards", "2",
                 "--refresh-workers", "2",
                 "--profile",
@@ -310,34 +264,26 @@ class TestParallelRefreshCLI:
         assert "head_shard_live_rows" in out
         assert "refresh_workers" in out
 
-    def test_n_shards_with_plain_backend_fails_cleanly(self, capsys):
+    def test_n_shards_alone_trains_on_shared_storage(self, capsys):
+        """--n-shards without workers: shared storage, sequential refresh."""
         code = main(
             [
                 "train",
                 "--dataset", "WN18RR",
                 "--model", "TransE",
                 "--epochs", "1",
+                "--dim", "8",
                 "--scale", "0.05",
-                "--cache-backend", "array",
-                "--n-shards", "4",
+                "--cache-size", "4",
+                "--candidate-size", "4",
+                "--n-shards", "2",
+                "--profile",
             ]
         )
-        assert code == 2
-        assert "does not accept option" in capsys.readouterr().err
-
-    def test_workers_without_sharded_backend_fails_cleanly(self, capsys):
-        code = main(
-            [
-                "train",
-                "--dataset", "WN18RR",
-                "--model", "TransE",
-                "--epochs", "1",
-                "--scale", "0.05",
-                "--refresh-workers", "2",
-            ]
-        )
-        assert code == 2
-        assert "sharded-array" in capsys.readouterr().err
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "head_shard_live_rows" in out
+        assert "refresh_workers" not in out  # the sequential refresh ran
 
     def test_parallel_flags_with_other_sampler_fail_cleanly(self, capsys):
         code = main(
@@ -360,8 +306,7 @@ class TestParallelRefreshCLI:
     def test_non_positive_counts_rejected_at_parse(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
-                ["train", "--dataset", "WN18RR", "--model", "TransE",
-                 "--cache-backend", "sharded-array", flag, "0"]
+                ["train", "--dataset", "WN18RR", "--model", "TransE", flag, "0"]
             )
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
@@ -373,8 +318,7 @@ class TestOverlapRefreshCLI:
 
         args = build_parser().parse_args(
             ["train", "--dataset", "WN18RR", "--model", "TransE",
-             "--cache-backend", "sharded-array", "--refresh-workers", "2",
-             "--refresh-overlap", "--refresh-period", "4", "--no-dirty-sync"]
+             "--refresh-workers", "2", "--refresh-overlap", "--refresh-period", "4", "--no-dirty-sync"]
         )
         kwargs = _sampler_kwargs(args)
         assert kwargs["refresh_overlap"] is True
@@ -400,7 +344,6 @@ class TestOverlapRefreshCLI:
                 "--model", "TransE",
                 "--epochs", "1",
                 "--scale", "0.05",
-                "--cache-backend", "sharded-array",
                 "--refresh-overlap",
             ]
         )
@@ -435,7 +378,6 @@ class TestOverlapRefreshCLI:
                 "--scale", "0.05",
                 "--cache-size", "4",
                 "--candidate-size", "4",
-                "--cache-backend", "sharded-array",
                 "--n-shards", "2",
                 "--refresh-workers", "2",
                 "--refresh-overlap",
@@ -702,7 +644,6 @@ class TestTraceCLI:
         trace_path = tmp_path / "trace.jsonl"
         code = self._train_with_trace(
             trace_path,
-            "--cache-backend", "sharded-array",
             "--refresh-workers", "2",
             "--refresh-overlap",
         )

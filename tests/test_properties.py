@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import _multiset_overlap
 from repro.eval.ccdf import ccdf
 from repro.eval.ranking import rank_scores
 from repro.models.losses import LogisticLoss, MarginRankingLoss
+
+from cache_oracles import _multiset_overlap
 
 
 class TestRankScoreProperties:

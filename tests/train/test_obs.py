@@ -166,7 +166,7 @@ class TestParallelRefreshObservability:
             cache_size=4,
             candidate_size=4,
             cache_backend="sharded-array",
-            cache_options={"n_shards": 2},
+            n_shards=2,
             refresh_workers=2,
             refresh_processes=False,  # inline: deterministic, fork-free
         )
@@ -249,7 +249,7 @@ class TestParallelRefreshObservability:
             cache_size=4,
             candidate_size=4,
             cache_backend="sharded-array",
-            cache_options={"n_shards": 2},
+            n_shards=2,
             refresh_workers=2,
             refresh_processes=False,
             refresh_overlap=True,

@@ -28,7 +28,7 @@ def _parallel_sampler():
         cache_size=4,
         candidate_size=4,
         cache_backend="sharded-array",
-        cache_options={"n_shards": 2},
+        n_shards=2,
         refresh_workers=2,
         refresh_processes=False,  # inline: deterministic, fork-free
     )
@@ -235,7 +235,7 @@ class TestForkedWorkerTrace:
             cache_size=4,
             candidate_size=4,
             cache_backend="sharded-array",
-            cache_options={"n_shards": 2},
+            n_shards=2,
             refresh_workers=2,
             refresh_processes=True,
         )
