@@ -14,10 +14,9 @@ This benchmark pins both halves of that trade:
    the metrics sit above the full values and converge from above.
 2. **X10b — throughput at E = 1M, K = 500** (full ranking intractable):
    wall time of the sampled evaluation over the whole test split vs the
-   *extrapolated* cost of full ranking, measured on a few probe queries
-   scored with ``chunk=1`` (the only chunk size whose ``[1, E, d]``
-   temporaries fit sanely at this scale).  The sampled protocol must be
-   >= 20x faster than the extrapolated full cost.
+   *extrapolated* cost of full ranking, measured on a few probe queries.
+   The sampled protocol must be >= 20x faster than the extrapolated full
+   cost.
 
 Run under pytest (records wall time, writes benchmarks/out/X10.txt)::
 
@@ -129,16 +128,16 @@ def run_agreement_benchmark(n_entities=AGREE_ENTITIES, n_train=AGREE_TRAIN,
 def probe_full_ranking_cost(model, dataset, probes=PROBE_QUERIES):
     """Extrapolated seconds for full ranking of the whole split.
 
-    Scores ``probes`` queries on each side against all entities with
-    ``chunk=1`` and scales the per-query cost to ``2 * len(test)``
-    queries.  Filter-mask lookup cost is excluded, which only flatters
-    the full protocol — the speedup floor stays honest.
+    Scores ``probes`` queries on each side against all entities and
+    scales the per-query cost to ``2 * len(test)`` queries.  Filter-mask
+    lookup cost is excluded, which only flatters the full protocol — the
+    speedup floor stays honest.
     """
     triples = dataset.test[:probes]
     h, r, t = triples[:, 0], triples[:, 1], triples[:, 2]
     started = time.perf_counter()
-    rank_scores(model.score_all_tails(h, r, chunk=1), t, None)
-    rank_scores(model.score_all_heads(r, t, chunk=1), h, None)
+    rank_scores(model.score_all_tails(h, r), t, None)
+    rank_scores(model.score_all_heads(r, t), h, None)
     per_query = (time.perf_counter() - started) / (2 * probes)
     return per_query * 2 * len(dataset.test)
 

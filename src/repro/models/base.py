@@ -10,22 +10,22 @@ A model owns its parameter tables and exposes three things:
   :class:`~repro.models.params.GradientBag` (this is what PyTorch autodiff
   provided in the paper's code; here every formula is hand-derived and
   verified against finite differences in the test suite);
-* **bulk scoring**: :meth:`score_tails` / :meth:`score_all_tails` (and the
-  head-side twins) used by the cache update (Alg. 3 step 4), KBGAN/IGAN
-  generators, and the link-prediction evaluator.  The base class scores
-  all entities by feeding contiguous entity ranges to the candidate
-  kernel, one candidate block at a time; the bilinear models
-  override it with one GEMM against the entity table;
-* **fused candidate scoring**: :meth:`KGEModel.score_candidates` — one
+* **candidate scoring**: :meth:`KGEModel.score_candidates` — the one
   validated entry point for scoring a ``[B, C]`` candidate block against
-  per-row ``(anchor, relation)`` queries, the primitive the NSCaching
-  refresh (Alg. 3 step 4) is built on.  Validation and dispatch live in
-  the base class; models override the :meth:`_score_candidates_impl`
-  kernel hook with fused per-family kernels (see the conformance suite in
+  per-row ``(anchor, relation)`` queries.  The NSCaching refresh (Alg. 3
+  step 4), the KBGAN generator, self-adversarial sampling and the sampled
+  evaluator all score through it.  Validation and dispatch live in the
+  base class; the :meth:`_score_candidates_impl` kernel hook falls back
+  to broadcasting through :meth:`score`, and models override it with one
+  fused per-family kernel (see the conformance suite in
   ``tests/models/test_conformance.py`` for the contract they must honour).
   The bilinear family and TransE share one row-blocked gather loop,
   :func:`score_candidate_blocks`, with a per-family block scorer
   (:func:`matvec_scores`, :func:`residual_norm_scores`).
+  :meth:`score_all_tails` / :meth:`score_all_heads` (the link-prediction
+  evaluator and the serve path) feed contiguous entity ranges to the same
+  kernel; the GEMM models (ComplEx, DistMult, RESCAL, HolE) override them
+  with one product against the entity table.
 """
 
 from __future__ import annotations
@@ -231,35 +231,6 @@ class KGEModel(ABC):
         triples = np.asarray(triples, dtype=np.int64)
         return self.grad(triples[:, 0], triples[:, 1], triples[:, 2], upstream)
 
-    def score_tails(
-        self, h: np.ndarray, r: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Score ``(h_b, r_b, c)`` for every candidate tail ``c``.
-
-        ``candidates`` has shape ``[B, C]``; the result matches it.  The
-        generic implementation broadcasts and calls :meth:`score`; subclasses
-        may override with a closed form.
-        """
-        h = np.asarray(h, dtype=np.int64)
-        r = np.asarray(r, dtype=np.int64)
-        candidates = np.asarray(candidates, dtype=np.int64)
-        b, c = candidates.shape
-        flat_h = np.repeat(h, c)
-        flat_r = np.repeat(r, c)
-        return self.score(flat_h, flat_r, candidates.ravel()).reshape(b, c)
-
-    def score_heads(
-        self, candidates: np.ndarray, r: np.ndarray, t: np.ndarray
-    ) -> np.ndarray:
-        """Score ``(c, r_b, t_b)`` for every candidate head ``c`` (shape [B, C])."""
-        r = np.asarray(r, dtype=np.int64)
-        t = np.asarray(t, dtype=np.int64)
-        candidates = np.asarray(candidates, dtype=np.int64)
-        b, c = candidates.shape
-        flat_r = np.repeat(r, c)
-        flat_t = np.repeat(t, c)
-        return self.score(candidates.ravel(), flat_r, flat_t).reshape(b, c)
-
     def score_candidates(
         self,
         anchors: np.ndarray,
@@ -324,15 +295,21 @@ class KGEModel(ABC):
     ) -> np.ndarray:
         """Kernel hook behind :meth:`score_candidates` (inputs validated).
 
-        The generic fallback delegates to the model's bulk scorers, which
-        at worst broadcast through :meth:`score` — correct for any model.
+        The generic fallback broadcasts the ``[B, C]`` block through
+        :meth:`score` — correct for any model that defines ``score``.
         Override this (not :meth:`score_candidates`) with a fused kernel
         when per-family structure pays: compute the per-row query once,
         then score the whole candidate block with one matmul/broadcast op.
         """
+        b, c = candidates.shape
+        flat_anchors = np.repeat(anchors, c)
+        flat_r = np.repeat(r, c)
+        flat_candidates = candidates.ravel()
         if mode == "tail":
-            return self.score_tails(anchors, r, candidates)
-        return self.score_heads(candidates, r, anchors)
+            scores = self.score(flat_anchors, flat_r, flat_candidates)
+        else:
+            scores = self.score(flat_candidates, flat_r, flat_anchors)
+        return scores.reshape(b, c)
 
     def score_all_tails(
         self, h: np.ndarray, r: np.ndarray, chunk: int = 64

@@ -70,24 +70,6 @@ class ComplEx(KGEModel):
         r_re, r_im = p["relation_re"][r], p["relation_im"][r]
         return r_re * t_re + r_im * t_im, r_re * t_im - r_im * t_re
 
-    def score_tails(
-        self, h: np.ndarray, r: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        a, b = self._tail_query(h, r)
-        p = self.params
-        return np.einsum("bd,bcd->bc", a, p["entity_re"][candidates]) + np.einsum(
-            "bd,bcd->bc", b, p["entity_im"][candidates]
-        )
-
-    def score_heads(
-        self, candidates: np.ndarray, r: np.ndarray, t: np.ndarray
-    ) -> np.ndarray:
-        c, d = self._head_query(r, t)
-        p = self.params
-        return np.einsum("bd,bcd->bc", c, p["entity_re"][candidates]) + np.einsum(
-            "bd,bcd->bc", d, p["entity_im"][candidates]
-        )
-
     def _score_candidates_impl(
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:

@@ -49,46 +49,34 @@ class HolE(KGEModel):
         ent, rel = self.params["entity"], self.params["relation"]
         return np.sum(rel[r] * _ccorr(ent[h], ent[t]), axis=-1)
 
-    def score_tails(
-        self, h: np.ndarray, r: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        # f(t) = (r * h-correlation kernel) . t: df/dt = r (*) h is linear in t,
-        # so f(t) = (r conv h) . t  -- score every candidate with one matmul.
-        ent, rel = self.params["entity"], self.params["relation"]
-        query = _cconv(rel[r], ent[h])  # [B, d]
-        return np.einsum("bd,bcd->bc", query, ent[candidates])
+    def _query(self, anchors: np.ndarray, r: np.ndarray, mode: str) -> np.ndarray:
+        """Per-row coefficients ``q`` with ``f = q . candidate``; ``[B, d]``.
 
-    def score_heads(
-        self, candidates: np.ndarray, r: np.ndarray, t: np.ndarray
-    ) -> np.ndarray:
+        ``f`` is linear in either entity, so one FFT per row gives the
+        linear form of the circular op: ``f(t) = (r conv h) . t`` and
+        ``f(h) = (r ccorr t) . h``.
+        """
         ent, rel = self.params["entity"], self.params["relation"]
-        query = _ccorr(rel[r], ent[t])  # f(h) = (r ccorr t) . h
-        return np.einsum("bd,bcd->bc", query, ent[candidates])
+        op = _cconv if mode == "tail" else _ccorr
+        return op(rel[r], ent[anchors])
 
     def _score_candidates_impl(
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:
-        """Fused candidate kernel: one FFT query per row (the linear form of
-        the circular op), block scored by the shared row-blocked matmul
-        kernel."""
-        ent, rel = self.params["entity"], self.params["relation"]
-        if mode == "tail":
-            query = _cconv(rel[r], ent[anchors])  # f(t) = (r conv h) . t
-        else:
-            query = _ccorr(rel[r], ent[anchors])  # f(h) = (r ccorr t) . h
-        return score_candidate_blocks(candidates, [(ent, query)])
+        """Fused candidate kernel: one FFT query per row, block scored by
+        the shared row-blocked matmul kernel."""
+        query = self._query(anchors, r, mode)
+        return score_candidate_blocks(candidates, [(self.params["entity"], query)])
 
     def score_all_tails(self, h: np.ndarray, r: np.ndarray, chunk: int = 64) -> np.ndarray:
-        ent, rel = self.params["entity"], self.params["relation"]
         h = np.asarray(h, dtype=np.int64)
         r = np.asarray(r, dtype=np.int64)
-        return _cconv(rel[r], ent[h]) @ ent.T
+        return self._query(h, r, "tail") @ self.params["entity"].T
 
     def score_all_heads(self, r: np.ndarray, t: np.ndarray, chunk: int = 64) -> np.ndarray:
-        ent, rel = self.params["entity"], self.params["relation"]
         r = np.asarray(r, dtype=np.int64)
         t = np.asarray(t, dtype=np.int64)
-        return _ccorr(rel[r], ent[t]) @ ent.T
+        return self._query(t, r, "head") @ self.params["entity"].T
 
     # -- backward ------------------------------------------------------------
     def grad(

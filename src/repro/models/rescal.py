@@ -39,49 +39,35 @@ class RESCAL(KGEModel):
         m = self.params["relation"][r]
         return np.einsum("bi,bij,bj->b", ent[h], m, ent[t])
 
-    def score_tails(
-        self, h: np.ndarray, r: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        ent = self.params["entity"]
-        m = self.params["relation"][r]
-        query = np.einsum("bi,bij->bj", ent[h], m)  # h^T M
-        return np.einsum("bj,bcj->bc", query, ent[candidates])
+    def _query(self, anchors: np.ndarray, r: np.ndarray, mode: str) -> np.ndarray:
+        """Per-row coefficients ``q`` with ``f = q . candidate``; ``[B, d]``.
 
-    def score_heads(
-        self, candidates: np.ndarray, r: np.ndarray, t: np.ndarray
-    ) -> np.ndarray:
-        ent = self.params["entity"]
+        The relation matrix is contracted with the anchor once per row:
+        ``h^T M`` for candidate tails, ``M t`` for candidate heads.
+        """
+        anchor = self.params["entity"][anchors]
         m = self.params["relation"][r]
-        query = np.einsum("bij,bj->bi", m, ent[t])  # M t
-        return np.einsum("bi,bci->bc", query, ent[candidates])
+        if mode == "tail":
+            return np.einsum("bi,bij->bj", anchor, m)
+        return np.einsum("bij,bj->bi", m, anchor)
 
     def _score_candidates_impl(
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:
-        """Fused candidate kernel: the relation matrix is contracted with the
-        anchor once per row (``h^T M`` or ``M t``), then the block is scored
+        """Fused candidate kernel: the per-row query, then the block scored
         by the shared row-blocked matmul kernel."""
-        ent = self.params["entity"]
-        m = self.params["relation"][r]
-        if mode == "tail":
-            query = np.einsum("bi,bij->bj", ent[anchors], m)  # h^T M
-        else:
-            query = np.einsum("bij,bj->bi", m, ent[anchors])  # M t
-        return score_candidate_blocks(candidates, [(ent, query)])
+        query = self._query(anchors, r, mode)
+        return score_candidate_blocks(candidates, [(self.params["entity"], query)])
 
     def score_all_tails(self, h: np.ndarray, r: np.ndarray, chunk: int = 64) -> np.ndarray:
-        ent = self.params["entity"]
         h = np.asarray(h, dtype=np.int64)
         r = np.asarray(r, dtype=np.int64)
-        query = np.einsum("bi,bij->bj", ent[h], self.params["relation"][r])
-        return query @ ent.T
+        return self._query(h, r, "tail") @ self.params["entity"].T
 
     def score_all_heads(self, r: np.ndarray, t: np.ndarray, chunk: int = 64) -> np.ndarray:
-        ent = self.params["entity"]
         r = np.asarray(r, dtype=np.int64)
         t = np.asarray(t, dtype=np.int64)
-        query = np.einsum("bij,bj->bi", self.params["relation"][r], ent[t])
-        return query @ ent.T
+        return self._query(t, r, "head") @ self.params["entity"].T
 
     # -- backward ------------------------------------------------------------
     def grad(

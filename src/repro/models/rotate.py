@@ -77,44 +77,6 @@ class RotatE(KGEModel):
         e, *_ = self._residual(h, r, t)
         return -norm_forward(e, self.p)
 
-    def score_tails(
-        self, h: np.ndarray, r: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        p = self.params
-        h_re, h_im = p["entity_re"][h], p["entity_im"][h]
-        theta = p["phase"][r]
-        cos, sin = np.cos(theta), np.sin(theta)
-        rot_re = (h_re * cos - h_im * sin)[:, None, :]  # [B, 1, d]
-        rot_im = (h_re * sin + h_im * cos)[:, None, :]
-        e = np.concatenate(
-            [
-                rot_re - p["entity_re"][candidates],
-                rot_im - p["entity_im"][candidates],
-            ],
-            axis=2,
-        )
-        return -norm_forward(e, self.p)
-
-    def score_heads(
-        self, candidates: np.ndarray, r: np.ndarray, t: np.ndarray
-    ) -> np.ndarray:
-        # Rotate every candidate head forward and measure against the tail.
-        p = self.params
-        theta = p["phase"][r]
-        cos, sin = np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]
-        c_re = p["entity_re"][candidates]
-        c_im = p["entity_im"][candidates]
-        rot_re = c_re * cos - c_im * sin
-        rot_im = c_re * sin + c_im * cos
-        e = np.concatenate(
-            [
-                rot_re - p["entity_re"][t][:, None, :],
-                rot_im - p["entity_im"][t][:, None, :],
-            ],
-            axis=2,
-        )
-        return -norm_forward(e, self.p)
-
     def _score_candidates_impl(
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:

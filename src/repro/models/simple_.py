@@ -42,28 +42,6 @@ class SimplE(KGEModel):
         inverse = np.sum(p["entity_head"][t] * p["relation_inv"][r] * p["entity_tail"][h], axis=-1)
         return 0.5 * (forward + inverse)
 
-    def score_tails(
-        self, h: np.ndarray, r: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        p = self.params
-        fwd_q = p["entity_head"][h] * p["relation"][r]  # pairs with candidate tail-role
-        inv_q = p["relation_inv"][r] * p["entity_tail"][h]  # pairs with candidate head-role
-        return 0.5 * (
-            np.einsum("bd,bcd->bc", fwd_q, p["entity_tail"][candidates])
-            + np.einsum("bd,bcd->bc", inv_q, p["entity_head"][candidates])
-        )
-
-    def score_heads(
-        self, candidates: np.ndarray, r: np.ndarray, t: np.ndarray
-    ) -> np.ndarray:
-        p = self.params
-        fwd_q = p["relation"][r] * p["entity_tail"][t]
-        inv_q = p["entity_head"][t] * p["relation_inv"][r]
-        return 0.5 * (
-            np.einsum("bd,bcd->bc", fwd_q, p["entity_head"][candidates])
-            + np.einsum("bd,bcd->bc", inv_q, p["entity_tail"][candidates])
-        )
-
     def _score_candidates_impl(
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:

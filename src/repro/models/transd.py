@@ -66,30 +66,6 @@ class TransD(KGEModel):
         e = hp + self.params["relation"][r] - tp
         return -norm_forward(e, self.p)
 
-    def score_tails(
-        self, h: np.ndarray, r: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        wr = self.params["relation_proj"][r]  # [B, d]
-        hp, _, _ = self._project(h, wr)
-        query = hp + self.params["relation"][r]  # [B, d]
-        raw = self.params["entity"][candidates]  # [B, C, d]
-        we = self.params["entity_proj"][candidates]
-        dot = np.sum(we * raw, axis=-1)  # [B, C]
-        tp = raw + dot[:, :, None] * wr[:, None, :]
-        return -norm_forward(query[:, None, :] - tp, self.p)
-
-    def score_heads(
-        self, candidates: np.ndarray, r: np.ndarray, t: np.ndarray
-    ) -> np.ndarray:
-        wr = self.params["relation_proj"][r]
-        tp, _, _ = self._project(t, wr)
-        base = self.params["relation"][r] - tp  # [B, d]; e = hp + base
-        raw = self.params["entity"][candidates]
-        we = self.params["entity_proj"][candidates]
-        dot = np.sum(we * raw, axis=-1)
-        hp = raw + dot[:, :, None] * wr[:, None, :]
-        return -norm_forward(hp + base[:, None, :], self.p)
-
     def _score_candidates_impl(
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:

@@ -52,22 +52,6 @@ class TransE(KGEModel):
         e = ent[h] + rel[r] - ent[t]
         return -norm_forward(e, self.p)
 
-    def score_tails(
-        self, h: np.ndarray, r: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        ent, rel = self.params["entity"], self.params["relation"]
-        query = ent[h] + rel[r]  # [B, d]
-        e = query[:, None, :] - ent[candidates]  # [B, C, d]
-        return -norm_forward(e, self.p)
-
-    def score_heads(
-        self, candidates: np.ndarray, r: np.ndarray, t: np.ndarray
-    ) -> np.ndarray:
-        ent, rel = self.params["entity"], self.params["relation"]
-        query = rel[r] - ent[t]  # [B, d]; e = cand + query
-        e = ent[candidates] + query[:, None, :]
-        return -norm_forward(e, self.p)
-
     def _score_candidates_impl(
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:

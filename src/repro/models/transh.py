@@ -67,32 +67,6 @@ class TransH(KGEModel):
         e, _, _ = self._residual(h, r, t)
         return -norm_forward(e, self.p)
 
-    def score_tails(
-        self, h: np.ndarray, r: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        ent = self.params["entity"]
-        w = self.params["normal"][r]  # [B, d]
-        head = ent[h]
-        hp = head - np.sum(w * head, axis=1, keepdims=True) * w + self.params["relation"][r]
-        tails = ent[candidates]  # [B, C, d]
-        wt = np.einsum("bd,bcd->bc", w, tails)
-        tp = tails - wt[:, :, None] * w[:, None, :]
-        return -norm_forward(hp[:, None, :] - tp, self.p)
-
-    def score_heads(
-        self, candidates: np.ndarray, r: np.ndarray, t: np.ndarray
-    ) -> np.ndarray:
-        ent = self.params["entity"]
-        w = self.params["normal"][r]
-        tail = ent[t]
-        base = self.params["relation"][r] - (
-            tail - np.sum(w * tail, axis=1, keepdims=True) * w
-        )  # [B, d]; e = hp + base
-        heads = ent[candidates]
-        wh = np.einsum("bd,bcd->bc", w, heads)
-        hp = heads - wh[:, :, None] * w[:, None, :]
-        return -norm_forward(hp + base[:, None, :], self.p)
-
     def _score_candidates_impl(
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:

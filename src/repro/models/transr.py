@@ -63,24 +63,6 @@ class TransR(KGEModel):
         e = np.einsum("bkd,bd->bk", m, diff) + self.params["relation"][r]
         return -norm_forward(e, self.p)
 
-    def score_tails(
-        self, h: np.ndarray, r: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        ent = self.params["entity"]
-        m = self.params["projection"][r]
-        query = np.einsum("bkd,bd->bk", m, ent[h]) + self.params["relation"][r]
-        tails = np.einsum("bkd,bcd->bck", m, ent[candidates])
-        return -norm_forward(query[:, None, :] - tails, self.p)
-
-    def score_heads(
-        self, candidates: np.ndarray, r: np.ndarray, t: np.ndarray
-    ) -> np.ndarray:
-        ent = self.params["entity"]
-        m = self.params["projection"][r]
-        base = self.params["relation"][r] - np.einsum("bkd,bd->bk", m, ent[t])
-        heads = np.einsum("bkd,bcd->bck", m, ent[candidates])
-        return -norm_forward(heads + base[:, None, :], self.p)
-
     def _score_candidates_impl(
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:

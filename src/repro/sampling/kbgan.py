@@ -122,13 +122,13 @@ class KBGANSampler(NegativeSampler):
         scores = np.empty((b, self.candidate_size), dtype=np.float64)
         if head_mask.any():
             sel = np.flatnonzero(head_mask)
-            scores[sel] = self.generator.score_heads(
-                candidates[sel], batch[sel, REL], batch[sel, TAIL]
+            scores[sel] = self.generator.score_candidates(
+                batch[sel, TAIL], batch[sel, REL], candidates[sel], "head"
             )
         if (~head_mask).any():
             sel = np.flatnonzero(~head_mask)
-            scores[sel] = self.generator.score_tails(
-                batch[sel, HEAD], batch[sel, REL], candidates[sel]
+            scores[sel] = self.generator.score_candidates(
+                batch[sel, HEAD], batch[sel, REL], candidates[sel], "tail"
             )
         probs = _softmax(scores)
         # Vectorised categorical sampling via inverse CDF.

@@ -50,13 +50,13 @@ class SelfAdversarialSampler(NegativeSampler):
         scores = np.empty((b, self.candidate_size), dtype=np.float64)
         if head_mask.any():
             rows = np.flatnonzero(head_mask)
-            scores[rows] = self.model.score_heads(
-                candidates[rows], batch[rows, REL], batch[rows, TAIL]
+            scores[rows] = self.model.score_candidates(
+                batch[rows, TAIL], batch[rows, REL], candidates[rows], "head"
             )
         if (~head_mask).any():
             rows = np.flatnonzero(~head_mask)
-            scores[rows] = self.model.score_tails(
-                batch[rows, HEAD], batch[rows, REL], candidates[rows]
+            scores[rows] = self.model.score_candidates(
+                batch[rows, HEAD], batch[rows, REL], candidates[rows], "tail"
             )
 
         logits = self.alpha * scores

@@ -50,8 +50,6 @@ class PredictionEngine:
         argsort work and cached memory all scale with ``k``).
     cache_capacity:
         LRU entries to keep; ``0`` disables the query cache.
-    chunk:
-        Scoring chunk size passed to :class:`TopKScorer`.
     metrics:
         The registry backing ``/metrics``; the engine creates its own by
         default.  Internal counters stay plain ints under the engine's
@@ -74,7 +72,6 @@ class PredictionEngine:
         top_k: int = 10,
         max_k: int = 1000,
         cache_capacity: int = 1024,
-        chunk: int = 64,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -95,7 +92,7 @@ class PredictionEngine:
         self.dataset = dataset
         self.top_k = int(top_k)
         self.max_k = int(max_k)
-        self.scorer = TopKScorer(snapshot.model(), dataset, chunk=chunk)
+        self.scorer = TopKScorer(snapshot.model(), dataset)
         self.cache = QueryCache(cache_capacity) if cache_capacity > 0 else None
         self._lock = threading.Lock()
         self._started_at = time.time()

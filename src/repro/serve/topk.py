@@ -3,7 +3,7 @@
 The serving counterpart of :mod:`repro.eval.ranking`: where the evaluator
 ranks one *known* answer among all entities, :class:`TopKScorer` returns
 the *best* ``k`` candidate entities for a query ``(h, r, ?)`` or
-``(?, r, t)``.  Both use the same bulk scoring paths
+``(?, r, t)``.  Both use the same all-entity scoring paths
 (:meth:`KGEModel.score_all_tails` / ``score_all_heads``) and the same
 filtered-candidate masks (:mod:`repro.eval.filters`), so a served top-1 is
 exactly the entity the offline protocol would rank first.
@@ -65,23 +65,11 @@ class TopKScorer:
     dataset:
         Supplies the known-triple filter indexes.  Optional; without it
         only unfiltered queries are possible.
-    chunk:
-        Row-chunk size handed to the bulk scorers.  The registry models'
-        ``score_all_*`` bound their temporaries themselves and ignore it.
     """
 
-    def __init__(
-        self,
-        model: KGEModel,
-        dataset: KGDataset | None = None,
-        *,
-        chunk: int = 64,
-    ) -> None:
-        if chunk <= 0:
-            raise ValueError(f"chunk must be > 0, got {chunk}")
+    def __init__(self, model: KGEModel, dataset: KGDataset | None = None) -> None:
         self.model = model
         self.dataset = dataset
-        self.chunk = int(chunk)
 
     # -- public API ---------------------------------------------------------
     def top_tails(
@@ -103,7 +91,7 @@ class TopKScorer:
         r = np.asarray(r, dtype=np.int64).ravel()
         self._check_ids(h, self.model.n_entities, "head")
         self._check_ids(r, self.model.n_relations, "relation")
-        scores = self.model.score_all_tails(h, r, chunk=self.chunk)
+        scores = self.model.score_all_tails(h, r)
         masks = self._masks("tail", h, r, filtered)
         return self._extract("tail", scores, masks, keep, k, filtered)
 
@@ -121,7 +109,7 @@ class TopKScorer:
         t = np.asarray(t, dtype=np.int64).ravel()
         self._check_ids(t, self.model.n_entities, "tail")
         self._check_ids(r, self.model.n_relations, "relation")
-        scores = self.model.score_all_heads(r, t, chunk=self.chunk)
+        scores = self.model.score_all_heads(r, t)
         masks = self._masks("head", r, t, filtered)
         return self._extract("head", scores, masks, keep, k, filtered)
 

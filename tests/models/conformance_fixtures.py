@@ -165,18 +165,57 @@ def _transe_score_all_oracle(model, anchors, r, mode):
     return out
 
 
-def _broadcast_score_all(model, anchors, r, mode):
-    """The old generic base path: ``[chunk, E]`` broadcast ids through
-    ``score_tails`` / ``score_heads``."""
+def _rotate_tails(model, h, r, candidates):
+    """RotatE's old unblocked tail scorer: gather the whole block, then
+    concatenate the two residual halves."""
+    p = model.params
+    h_re, h_im = p["entity_re"][h], p["entity_im"][h]
+    theta = p["phase"][r]
+    cos, sin = np.cos(theta), np.sin(theta)
+    rot_re = (h_re * cos - h_im * sin)[:, None, :]  # [B, 1, d]
+    rot_im = (h_re * sin + h_im * cos)[:, None, :]
+    e = np.concatenate(
+        [
+            rot_re - p["entity_re"][candidates],
+            rot_im - p["entity_im"][candidates],
+        ],
+        axis=2,
+    )
+    return -norm_forward(e, model.p)
+
+
+def _rotate_heads(model, candidates, r, t):
+    """RotatE's old unblocked head scorer: rotate every candidate head
+    forward and measure against the tail."""
+    p = model.params
+    theta = p["phase"][r]
+    cos, sin = np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]
+    c_re = p["entity_re"][candidates]
+    c_im = p["entity_im"][candidates]
+    rot_re = c_re * cos - c_im * sin
+    rot_im = c_re * sin + c_im * cos
+    e = np.concatenate(
+        [
+            rot_re - p["entity_re"][t][:, None, :],
+            rot_im - p["entity_im"][t][:, None, :],
+        ],
+        axis=2,
+    )
+    return -norm_forward(e, model.p)
+
+
+def _rotate_score_all_oracle(model, anchors, r, mode):
+    """The old generic base path for RotatE: ``[chunk, E]`` broadcast ids
+    through its unblocked tail / head scorers."""
     everyone = np.arange(model.n_entities)
     out = np.empty((len(anchors), model.n_entities))
     for start in range(0, len(anchors), _CHUNK):
         stop = min(start + _CHUNK, len(anchors))
         ids = np.broadcast_to(everyone, (stop - start, model.n_entities))
         if mode == "tail":
-            out[start:stop] = model.score_tails(anchors[start:stop], r[start:stop], ids)
+            out[start:stop] = _rotate_tails(model, anchors[start:stop], r[start:stop], ids)
         else:
-            out[start:stop] = model.score_heads(ids, r[start:stop], anchors[start:stop])
+            out[start:stop] = _rotate_heads(model, ids, r[start:stop], anchors[start:stop])
     return out
 
 
@@ -184,8 +223,9 @@ def _broadcast_score_all(model, anchors, r, mode):
 #: method must reproduce byte for byte.  The other base-path models
 #: (TransH, TransD, TransR, SimplE) now match their ``score_candidates``
 #: bytes instead, which differ from the broadcast path in the last
-#: few ulps because their bulk scorers order the operations differently.
+#: few ulps because their old bulk scorers ordered the operations
+#: differently.
 UNBLOCKED_SCORE_ALL = {
     "TransE": _transe_score_all_oracle,
-    "RotatE": _broadcast_score_all,
+    "RotatE": _rotate_score_all_oracle,
 }

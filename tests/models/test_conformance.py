@@ -5,8 +5,10 @@ on, and each model family ships its own fused kernel for it.  This suite
 pins the contract those kernels must honour so any future specialisation
 is caught by construction:
 
-* agreement with the looped ``score()`` oracle and with the bulk
-  ``score_tails`` / ``score_heads`` / ``score_all_*`` scorers;
+* agreement with the looped ``score()`` oracle, with the base-class
+  fallback that broadcasts through ``score()``, and with ``score_all_*``;
+  a model that defines only ``score``/``grad`` gets every scorer from
+  that fallback;
 * duplicate-candidate invariance (equal ids ⇒ bitwise-equal scores);
 * dtype / shape / read-only guarantees (float64 ``[B, C]`` out, inputs
   never written, non-contiguous and non-int64 inputs accepted);
@@ -40,6 +42,7 @@ from repro.models.base import (
     candidate_block_rows,
     entity_range_width,
 )
+from repro.sampling.self_adversarial import SelfAdversarialSampler
 
 from conformance_fixtures import (
     BLOCKED_KERNEL_CASES,
@@ -72,12 +75,15 @@ class TestAgreement:
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_matches_bulk_scorers(self, conformance_model, candidate_block, mode):
+        """Arbitrary (repeated, unordered) ids score as the same columns of
+        the bulk ``score_all_*`` rows."""
         anchors, r, cand = candidate_block
         got = conformance_model.score_candidates(anchors, r, cand, mode)
         if mode == "tail":
-            expected = conformance_model.score_tails(anchors, r, cand)
+            bulk = conformance_model.score_all_tails(anchors, r)
         else:
-            expected = conformance_model.score_heads(cand, r, anchors)
+            bulk = conformance_model.score_all_heads(r, anchors)
+        expected = np.take_along_axis(bulk, cand, axis=1)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_matches_generic_fallback(self, conformance_model, candidate_block, mode):
@@ -437,3 +443,53 @@ def test_score_all_memory_is_bounded(model_name, mode, rng):
     assert peak < output + 8 * CANDIDATE_BLOCK_BYTES, (
         f"peak {peak} B, output {output} B"
     )
+
+
+# -- the base-class fallback ---------------------------------------------------
+
+
+class _MinimalDistMult(KGEModel):
+    """DistMult from ``score`` alone: no candidate kernel and no
+    ``score_all_*`` override, so every scorer runs the base fallback."""
+
+    def _init_params(self, rng):
+        self.params["entity"] = rng.normal(size=(self.n_entities, self.dim))
+        self.params["relation"] = rng.normal(size=(self.n_relations, self.dim))
+
+    def score(self, h, r, t):
+        p = self.params
+        return np.sum(p["entity"][h] * p["relation"][r] * p["entity"][t], axis=-1)
+
+    def grad(self, h, r, t, upstream):
+        raise NotImplementedError("the scorers never differentiate")
+
+
+class TestMinimalSubclass:
+    """A model that defines only ``_init_params``/``score``/``grad`` still
+    gets ``score_candidates``, ``score_all_*`` and the samplers built on
+    them (the fallback must not call back into ``score_candidates``)."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_scorers_match_looped_score(self, candidate_block, mode):
+        model = _MinimalDistMult(CONF_N_ENTITIES, CONF_N_RELATIONS, CONF_DIM, rng=3)
+        anchors, r, cand = candidate_block
+        np.testing.assert_allclose(
+            model.score_candidates(anchors, r, cand, mode),
+            looped_reference_scores(model, anchors, r, cand, mode),
+            atol=1e-10,
+        )
+        every = np.broadcast_to(
+            np.arange(CONF_N_ENTITIES), (len(anchors), CONF_N_ENTITIES)
+        )
+        np.testing.assert_allclose(
+            _score_all(model, anchors, r, mode),
+            looped_reference_scores(model, anchors, r, every, mode),
+            atol=1e-10,
+        )
+
+    def test_self_adversarial_sampler_runs(self, tiny_kg):
+        model = _MinimalDistMult(tiny_kg.n_entities, tiny_kg.n_relations, 4, rng=0)
+        sampler = SelfAdversarialSampler(candidate_size=8).bind(model, tiny_kg, rng=0)
+        batch = tiny_kg.train[:16]
+        negatives = sampler.sample(batch)
+        assert negatives.shape == batch.shape

@@ -1,8 +1,10 @@
 """Bulk-scoring consistency: every fast path must agree with score().
 
-The cache update, the GAN generators and the evaluator all rely on
-``score_tails`` / ``score_heads`` / ``score_all_*``; these are overridden
-with closed forms per model, so each must match the reference ``score``.
+The cache update, the GAN and self-adversarial samplers and the sampled
+evaluator rely on ``score_candidates``; the full evaluator and the serve
+path rely on ``score_all_*``.  Each model overrides the candidate kernel
+(and the GEMM models ``score_all_*``) with a closed form, so each must
+match the reference ``score``.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ class TestBulkScoring:
         h = rng.integers(0, N_ENTITIES, b)
         r = rng.integers(0, N_RELATIONS, b)
         cand = rng.integers(0, N_ENTITIES, (b, c))
-        got = model.score_tails(h, r, cand)
+        got = model.score_candidates(h, r, cand, "tail")
         for i in range(b):
             expected = model.score(
                 np.full(c, h[i]), np.full(c, r[i]), cand[i]
@@ -40,7 +42,7 @@ class TestBulkScoring:
         r = rng.integers(0, N_RELATIONS, b)
         t = rng.integers(0, N_ENTITIES, b)
         cand = rng.integers(0, N_ENTITIES, (b, c))
-        got = model.score_heads(cand, r, t)
+        got = model.score_candidates(t, r, cand, "head")
         for i in range(b):
             expected = model.score(
                 cand[i], np.full(c, r[i]), np.full(c, t[i])
@@ -57,7 +59,7 @@ class TestBulkScoring:
         )
         np.testing.assert_allclose(
             model.score_all_tails(h, r),
-            model.score_tails(h, r, all_cand),
+            model.score_candidates(h, r, all_cand, "tail"),
             atol=1e-10,
         )
 
@@ -71,7 +73,7 @@ class TestBulkScoring:
         )
         np.testing.assert_allclose(
             model.score_all_heads(r, t),
-            model.score_heads(all_cand, r, t),
+            model.score_candidates(t, r, all_cand, "head"),
             atol=1e-10,
         )
 
@@ -103,7 +105,9 @@ def test_property_bulk_equals_pointwise(model_name, data):
         st.lists(st.integers(0, N_ENTITIES - 1), min_size=1, max_size=8)
     )
     cand_arr = np.asarray([cand])
-    bulk = model.score_tails(np.array([h]), np.array([r]), cand_arr)[0]
+    bulk = model.score_candidates(
+        np.array([h]), np.array([r]), cand_arr, "tail"
+    )[0]
     point = model.score(
         np.full(len(cand), h), np.full(len(cand), r), np.asarray(cand)
     )

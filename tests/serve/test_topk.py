@@ -104,10 +104,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="k must be > 0"):
             scorer.top_tails(np.array([0]), np.array([0]), 0)
 
-    def test_bad_chunk_rejected(self, small_transe):
-        with pytest.raises(ValueError, match="chunk"):
-            TopKScorer(small_transe, chunk=0)
-
     def test_to_json_is_serialisable(self, tiny_kg, small_transe):
         import json
 
