@@ -34,9 +34,11 @@ Lazy random initialisation draws from the generator in first-occurrence
 order, which keeps the RNG stream bit-identical to a per-key dict cache's
 lazy draws (the dict oracles in ``tests/cache_oracles.py`` pin this).
 
-The CE metric (changed cache elements, Figure 8) is computed for a whole
-batch at once by :func:`multiset_overlap_rows`, or taken from the fused
-refresh's caller-derived hint.
+The CE metric (changed cache elements, Figure 8) is counted per row
+against the stored entry: by :func:`multiset_overlap_rows` for a whole
+batch at once, or taken from the fused refresh's per-row ``overlap``
+hint.  A storage row written twice in one batch is recounted locally,
+against its preceding write.
 """
 
 from __future__ import annotations
@@ -342,7 +344,7 @@ class ArrayNegativeCache:
         ids: np.ndarray,
         scores: np.ndarray | None = None,
         *,
-        changed: int | None = None,
+        overlap: np.ndarray | None = None,
     ) -> int:
         """Replace the entries at key ``rows``; returns #elements that changed.
 
@@ -351,13 +353,15 @@ class ArrayNegativeCache:
         keys under ``n_buckets``), each write's CE is counted against the
         *previous* write, and the last write wins.
 
-        ``changed`` is an optional caller-derived CE count (the fused
-        refresh computes it from the selection's column structure, see
-        :func:`~repro.core.strategies.selection_changed_elements`).  When
-        given, the scatter-side multiset sort is skipped entirely; the
-        caller guarantees the *storage* rows are unique and were gathered
-        (hence live) in the same refresh — exactly the conditions under
-        which the column derivation is exact.
+        ``overlap`` is an optional per-row hint: ``overlap[b]`` is the
+        multiset overlap of ``ids[b]`` with the entry stored at row
+        ``b``'s storage row before this call (the fused refresh derives
+        it from the selection's columns, see
+        :meth:`~repro.core.strategies.SurvivorSelection.cached_overlap`).
+        Without it every row is counted by :func:`multiset_overlap_rows`.
+        Either way, only the non-first writes of a repeated storage row
+        are recounted here, against the preceding write; their hints are
+        ignored.  Rows not yet initialised count as fully changed.
         """
         self._require_index()
         assert self._ids is not None and self._live is not None
@@ -378,43 +382,33 @@ class ArrayNegativeCache:
                     f"scores must have shape ({len(rows)}, {self.size}) to "
                     f"match ids, got {scores.shape}"
                 )
+        if overlap is not None:
+            overlap = np.array(overlap, dtype=np.int64)  # a copy: recounts write into it
+            if overlap.shape != (len(rows),):
+                raise ValueError(
+                    f"overlap must have shape ({len(rows)},), got {overlap.shape}"
+                )
         if len(rows) == 0:
             return 0
+        if overlap is None:
+            overlap = multiset_overlap_rows(ids, self._ids[rows])
 
-        if changed is not None:
-            # Fast path: CE precomputed from the selection's column
-            # structure; rows are unique so direct assignment is the
-            # last-write-wins semantics for free.
-            self.initialised_entries += int(np.count_nonzero(~self._live[rows]))
-            self._ids[rows] = ids
-            self._live[rows] = True
-            if self.store_scores:
-                assert self._scores is not None and scores is not None
-                self._scores[rows] = scores
-            self.changed_elements += int(changed)
-            return int(changed)
-
-        prev = self._ids[rows]
-        live = self._live[rows].copy()
+        live = self._live[rows]
         order = np.argsort(rows, kind="stable")
         sorted_rows = rows[order]
         dup = sorted_rows[1:] == sorted_rows[:-1]
-        repeat = np.zeros(len(rows), dtype=bool)
-        repeat[order[1:]] = dup
-        if repeat.any():
-            # Non-first writes compare against the preceding write's ids.
-            prev[order[1:][dup]] = ids[order[:-1][dup]]
-            live = live | repeat
-
-        overlap = multiset_overlap_rows(ids, prev)
+        if dup.any():
+            # Non-first writes count against the preceding write's ids.
+            later, earlier = order[1:][dup], order[:-1][dup]
+            overlap[later] = multiset_overlap_rows(ids[later], ids[earlier])
+            live[later] = True
         changed = int(np.where(live, self.size - overlap, self.size).sum())
         self.changed_elements += changed
         self.initialised_entries += int(np.count_nonzero(~live))
 
         # Last write wins: assign only each row's final occurrence.
-        is_last = np.zeros(len(rows), dtype=bool)
-        is_last[order[:-1]] = ~dup
-        is_last[order[-1]] = True
+        is_last = np.ones(len(rows), dtype=bool)
+        is_last[order[:-1][dup]] = False
         self._ids[rows[is_last]] = ids[is_last]
         self._live[rows] = True
         if self.store_scores:

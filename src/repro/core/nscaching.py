@@ -33,10 +33,12 @@ The refresh itself (Alg. 3) is **fused**: the candidate union is
 assembled in a persistent per-sampler buffer, scored in one shot through
 the model's :meth:`~repro.models.base.KGEModel.score_candidates` kernel,
 and the top-``N1`` survivors go straight from ``argpartition`` into the
-cache ``scatter`` — no intermediate concatenate/score-gather copies, and
-the CE count comes from the selection's column structure instead of a
-multiset sort.  The step-by-step concatenate → score → select → scatter
-orchestration lives on as a test oracle, bit-identical under a fixed seed
+cache ``scatter`` — no intermediate concatenate/score-gather copies.  The
+CE count arrives as a per-row hint derived from the selection's column
+structure instead of a multiset sort, and ``scatter`` recounts locally
+only the storage rows the batch writes more than once.  The
+step-by-step concatenate → score → select → scatter orchestration lives
+on as a test oracle, bit-identical under a fixed seed
 (``tests/integration/test_backend_parity.py``).
 
 With ``refresh_workers >= 2`` the refresh instead runs on a
@@ -74,7 +76,6 @@ from repro.core.strategies import (
     UpdateStrategy,
     sample_from_cache,
     select_cache_survivors,
-    selection_changed_elements,
 )
 from repro.data.dataset import KGDataset
 from repro.data.keyindex import TripleKeyIndex
@@ -586,11 +587,12 @@ class NSCachingSampler(NegativeSampler):
             union, scores, n1, self.update_strategy, self.rng,
             return_scores=cache.store_scores, return_selection=True,
         )
-        # CE from the selection's column structure — no scatter-side
-        # multiset sort.  None (duplicate-filled rows / repeated storage
-        # rows) falls back to the sorted counting inside scatter.
-        changed = selection_changed_elements(selection, cache.storage_rows(rows), n1)
-        ce = cache.scatter(rows, selection.ids, selection.scores, changed=changed)
+        # Per-row CE hint from the selection's columns; scatter recounts
+        # only the repeated storage rows of the batch.
+        ce = cache.scatter(
+            rows, selection.ids, selection.scores,
+            overlap=selection.cached_overlap(union[:, :n1]),
+        )
         if self._mh is not None:
             self._observe_refresh(mode, len(batch), ce)
 

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core.array_cache import multiset_overlap_rows
 from repro.utils.rng import ensure_rng
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "duplicate_mask",
     "sample_from_cache",
     "select_cache_survivors",
-    "selection_changed_elements",
 ]
 
 
@@ -130,7 +130,7 @@ class SurvivorSelection(NamedTuple):
     from; ``filled[b]`` flags rows where a duplicate-suppressed (``-inf``
     key) column had to be selected because the row had fewer distinct
     candidates than ``n_keep``.  The column structure is what
-    :func:`selection_changed_elements` derives the CE metric from without
+    :meth:`cached_overlap` derives the per-row CE hint from without
     re-sorting the id block.
     """
 
@@ -139,37 +139,32 @@ class SurvivorSelection(NamedTuple):
     columns: np.ndarray
     filled: np.ndarray
 
+    def cached_overlap(self, cached: np.ndarray) -> np.ndarray:
+        """Per-row multiset overlap of the survivors with ``cached``.
 
-def selection_changed_elements(
-    selection: SurvivorSelection, storage_rows: np.ndarray, n_keep: int
-) -> int | None:
-    """CE of scattering ``selection`` back, derived from column structure.
+        ``cached`` is the ``[B, n_keep]`` entry gathered into union
+        columns ``[0, n_keep)``; fresh draws fill the rest, and the
+        selection suppresses within-row duplicates.  A survivor taken
+        from a column ``< n_keep`` is therefore an entity that was
+        already cached, and one taken from a column ``>= n_keep`` (a
+        non-duplicate, so its *first* occurrence in the row) cannot
+        appear among the cached columns: a row's overlap is its number
+        of survivor columns ``< n_keep``, no sort needed.  Only the rare
+        duplicate-filled rows, where a selected repeat breaks that
+        argument, run the sorted
+        :func:`~repro.core.array_cache.multiset_overlap_rows`.
 
-    The fused refresh gathers the cache entry into union columns
-    ``[0, n_keep)`` and fresh draws into the rest, then selects with
-    within-row duplicates suppressed.  A survivor taken from a column
-    ``< n_keep`` is therefore an entity that was already cached, and one
-    taken from a column ``>= n_keep`` (a non-duplicate, so its *first*
-    occurrence in the row) cannot appear among the cached columns — the
-    multiset overlap with the previous entry is exactly the number of
-    survivor columns ``< n_keep``, no sort needed.
-
-    Returns ``None`` when the shortcut does not apply and the scatter-side
-    sorted reference (:func:`repro.core.array_cache.multiset_overlap_rows`)
-    must run instead: duplicate-filled rows (a selected duplicate breaks
-    the first-occurrence argument) or repeated storage rows in the batch
-    (CE is then counted against the *previous write*, not the gathered
-    entry).  Agreement with the sorted path is property-tested.
-    """
-    if bool(selection.filled.any()):
-        return None
-    storage_rows = np.asarray(storage_rows, dtype=np.int64)
-    if len(storage_rows) > 1:
-        sorted_rows = np.sort(storage_rows)
-        if bool((sorted_rows[1:] == sorted_rows[:-1]).any()):
-            return None
-    overlap = int(np.count_nonzero(selection.columns < n_keep))
-    return n_keep * len(storage_rows) - overlap
+        The result is the per-row ``overlap=`` hint of
+        :meth:`~repro.core.array_cache.ArrayNegativeCache.scatter`, which
+        recounts a storage row written twice in one batch itself.
+        Agreement with the sorted walk is property-tested.
+        """
+        n_keep = cached.shape[1]
+        overlap = np.count_nonzero(self.columns < n_keep, axis=1)
+        if self.filled.any():
+            filled = np.flatnonzero(self.filled)
+            overlap[filled] = multiset_overlap_rows(self.ids[filled], cached[filled])
+        return overlap
 
 
 def select_cache_survivors(
@@ -200,7 +195,7 @@ def select_cache_survivors(
     With ``return_selection=True`` the result is a
     :class:`SurvivorSelection` that additionally carries the selected
     union columns and the duplicate-fill flags, the inputs of the
-    sort-free CE derivation (:func:`selection_changed_elements`).
+    sort-free per-row CE hint (:meth:`SurvivorSelection.cached_overlap`).
 
     Every refresh path (sequential, unfused and pool worker) selects
     through here, so this is where a NaN or infinite score stops the run
@@ -246,5 +241,7 @@ def select_cache_survivors(
     scores = candidate_scores[rows, top] if return_scores else None
     if not return_selection:
         return ids, scores
-    filled = np.isneginf(keys[rows, top]).any(axis=1)
+    # A row selects a -inf (duplicate) key exactly when it has fewer than
+    # n_keep non-duplicate keys, all of which are finite.
+    filled = np.count_nonzero(dup, axis=1) > n - n_keep
     return SurvivorSelection(ids, scores, top, filled)

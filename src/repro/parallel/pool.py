@@ -57,11 +57,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from repro.core.array_cache import ArrayNegativeCache
-from repro.core.strategies import (
-    UpdateStrategy,
-    select_cache_survivors,
-    selection_changed_elements,
-)
+from repro.core.strategies import UpdateStrategy, select_cache_survivors
 from repro.models.base import CANDIDATE_MODES, KGEModel
 from repro.parallel.dirty import DirtyRowTracker
 from repro.parallel.sharded import SharedArrayBlock
@@ -275,8 +271,10 @@ class _WorkerState:
             union, scores, n1, self.update_strategy, cache.rng,
             return_scores=cache.store_scores, return_selection=True,
         )
-        changed = selection_changed_elements(selection, task.rows, n1)
-        cache.scatter(task.rows, selection.ids, selection.scores, changed=changed)
+        cache.scatter(
+            task.rows, selection.ids, selection.scores,
+            overlap=selection.cached_overlap(union[:, :n1]),
+        )
         spans: tuple[dict[str, Any], ...] = ()
         if tracer is not None:
             assert task_span is not None

@@ -128,14 +128,15 @@ class NegativeCache:
         ids: np.ndarray,
         scores: np.ndarray | None = None,
         *,
-        changed: int | None = None,
+        overlap: np.ndarray | None = None,
     ) -> int:
         """Row-by-row :meth:`put`; returns total #elements that changed.
 
         The CE count always comes from the per-put multiset walk.  A
-        caller-derived ``changed`` hint (the fused refresh's column
-        derivation) is checked against that recount, so every dict↔array
-        parity run also checks the derivation.
+        caller-derived per-row ``overlap`` hint (the fused refresh's
+        column derivation) is checked row by row against that walk on
+        the first write to each stored entry (the entry the hint
+        describes), so every parity run also checks every hint.
         """
         keys = self._rows_to_keys(rows)
         ids = np.asarray(ids)
@@ -153,13 +154,24 @@ class NegativeCache:
                     f"match ids, got {scores.shape}"
                 )
         recount = 0
+        written: set[Key] = set()
         for i, key in enumerate(keys):
+            stored = self._stored_key(key)
+            old = self._ids.get(stored)
+            if overlap is not None and stored not in written and old is not None:
+                walk = _multiset_overlap(old, ids[i])
+                if int(overlap[i]) != walk:
+                    raise AssertionError(
+                        f"caller-derived CE hint for row {i}: overlap "
+                        f"{int(overlap[i])} != multiset walk {walk}"
+                    )
+            written.add(stored)
             recount += self.put(key, ids[i], scores[i] if scores is not None else None)
-        if changed is not None and changed != recount:
-            raise AssertionError(
-                f"caller-derived CE hint {changed} != multiset recount {recount}"
-            )
         return recount
+
+    def _stored_key(self, key: Key) -> Key:
+        """The dict key ``key``'s entry is stored under (itself)."""
+        return key
 
     def close(self) -> None:
         """Nothing to release (the sampler closes its caches)."""
@@ -312,30 +324,31 @@ class HashedNegativeCache(NegativeCache):
         """Indexed keys sharing their bucket with at least one other key."""
         return self._require_buckets().n_colliding_keys()
 
-    def _bucket(self, key: Key) -> Key:
+    def _stored_key(self, key: Key) -> Key:
+        """The bucket ``key``'s entry is stored under."""
         return (stable_key_hash(key) % self.n_buckets, 0)
 
     def storage_rows(self, rows: np.ndarray) -> np.ndarray:
         """Bucket row per dense key row (colliding keys share a row)."""
         return np.array(
-            [self._bucket(key)[0] for key in self._rows_to_keys(rows)],
+            [self._stored_key(key)[0] for key in self._rows_to_keys(rows)],
             dtype=np.int64,
         )
 
     def get(self, key: Key) -> np.ndarray:
         """Cached ids for ``key``'s bucket (shared across colliding keys)."""
-        return super().get(self._bucket(key))
+        return super().get(self._stored_key(key))
 
     def scores(self, key: Key) -> np.ndarray:
         """Stored scores for ``key``'s bucket."""
-        return super().scores(self._bucket(key))
+        return super().scores(self._stored_key(key))
 
     def put(self, key: Key, ids: np.ndarray, scores: np.ndarray | None = None) -> int:
         """Replace ``key``'s bucket contents; returns #changed elements."""
-        return super().put(self._bucket(key), ids, scores)
+        return super().put(self._stored_key(key), ids, scores)
 
     def __contains__(self, key: Key) -> bool:
-        return super().__contains__(self._bucket(key))
+        return super().__contains__(self._stored_key(key))
 
     def memory_bound_bytes(self) -> int:
         """Worst-case memory if every bucket materialises."""
@@ -354,7 +367,7 @@ class UnfusedRefreshSampler(NSCachingSampler):
 
     Same kernels and the same generator consumption as the fused
     refresh, without the persistent union buffer, the selection fast
-    path or the caller-derived CE hint.
+    path or the caller-derived per-row CE hint.
     """
 
     def _refresh_side(self, batch: np.ndarray, rows: np.ndarray, mode: str) -> None:

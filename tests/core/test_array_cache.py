@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.array_cache as array_cache_module
 from repro.core.array_cache import ArrayNegativeCache, multiset_overlap_rows
 from repro.data.keyindex import KeyIndex
 
@@ -258,17 +261,17 @@ class TestMultisetOverlapWideIds:
 
 
 class TestChangedHintAndExternalStorage:
-    """The scatter `changed=` fast path and worker-style storage views."""
+    """The scatter per-row CE hint (`overlap=`) and worker-style storage views."""
 
     def test_changed_hint_skips_counting_but_updates_counters(self):
         index = _index(n_keys=3)
         cache = ArrayNegativeCache(2, 20, np.random.default_rng(0))
         cache.attach_index(index)
         rows = np.array([0, 2])
-        cache.gather(rows)  # materialise (the hint contract)
+        cache.gather(rows)  # materialise (the hint describes stored entries)
         before = cache.initialised_entries
-        got = cache.scatter(rows, np.array([[1, 2], [3, 4]]), changed=3)
-        assert got == 3
+        got = cache.scatter(rows, np.array([[1, 2], [3, 4]]), overlap=[1, 0])
+        assert got == 3  # taken from the hint: (2 - 1) + (2 - 0)
         assert cache.changed_elements == 3
         assert cache.initialised_entries == before
         np.testing.assert_array_equal(cache.gather(np.array([0]))[0], [1, 2])
@@ -285,12 +288,30 @@ class TestChangedHintAndExternalStorage:
         counted, hinted = caches
         rows = np.array([1, 3])
         ids = np.array([[5, 6, 7], [8, 9, 10]])
-        expected = counted.scatter(rows, ids)
-        hinted.scatter(rows, ids, changed=expected)
+        overlap = multiset_overlap_rows(ids, hinted.gather(rows))
+        assert counted.scatter(rows, ids) == hinted.scatter(rows, ids, overlap=overlap)
         assert counted.changed_elements == hinted.changed_elements
         np.testing.assert_array_equal(
             counted.gather(np.arange(4)), hinted.gather(np.arange(4))
         )
+
+    def test_overlap_hint_shape_checked(self):
+        cache = _cache(size=2, n_keys=3)
+        with pytest.raises(ValueError, match="overlap must have shape"):
+            cache.scatter(np.array([0, 1]), np.zeros((2, 2)), overlap=[0])
+
+    def test_hints_of_unlive_and_repeated_rows_are_ignored(self):
+        """A fresh row counts as fully changed and a repeated row against
+        its preceding write, whatever their hints say."""
+        cache = _cache(size=3, n_keys=4)
+        cache.scatter(np.array([0]), np.array([[5, 6, 7]]))
+        rows = np.array([0, 1, 0])
+        ids = np.array([[7, 5, 6], [1, 2, 3], [5, 40, 41]])
+        got = cache.scatter(rows, ids, overlap=[3, 99, -99])
+        # row 0: 0 changed; row 1 (fresh): 3; row 0 again vs its first write: 2.
+        assert got == 5
+        assert cache.initialised_entries == 2
+        np.testing.assert_array_equal(cache.gather(np.array([0]))[0], ids[2])
 
     def test_attach_storage_views_external_arrays(self):
         ids = np.zeros((5, 2), dtype=np.int64)
@@ -315,3 +336,136 @@ class TestChangedHintAndExternalStorage:
         with pytest.raises(ValueError, match="ids"):
             view.attach_storage(None, np.zeros((5, 3), dtype=np.int64), live,
                                 np.zeros((5, 3)))
+
+
+def _true_overlap_hint(cache, rows, ids, live_storage, rng):
+    """The per-row hint a refresh derives, plus noise where it is unused.
+
+    First writes to a live storage row get their exact overlap with the
+    stored entry; every other row (fresh, or a repeat of an earlier row)
+    gets a random value that scatter must ignore.
+    """
+    storage = cache.storage_rows(rows)
+    hint = rng.integers(-5, 10, size=len(rows))
+    _, first = np.unique(storage, return_index=True)
+    for b in first:
+        if storage[b] in live_storage:
+            stored = cache.gather(rows[b : b + 1])[0]  # live: no side effect
+            hint[b] = _multiset_overlap(stored, ids[b])
+    return hint
+
+
+class TestOverlapHintProperty:
+    @given(
+        seed=st.integers(0, 2**16),
+        n_buckets=st.sampled_from([None, 2, 3]),
+        store_scores=st.booleans(),
+        size=st.integers(1, 5),
+        n_values=st.integers(1, 12),
+        batch=st.integers(1, 12),
+        rounds=st.integers(1, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_hinted_scatter_equals_unhinted(
+        self, seed, n_buckets, store_scores, size, n_values, batch, rounds
+    ):
+        """Same return value, counters and contents with or without the
+        hint, over repeated key rows, bucket collisions and fresh rows."""
+        n_keys = 6
+        rng = np.random.default_rng(seed)
+        caches = [
+            _cache(size=size, n_entities=n_values, seed=seed, n_keys=n_keys,
+                   n_buckets=n_buckets, store_scores=store_scores)
+            for _ in range(2)
+        ]
+        plain, hinted = caches
+        warm = rng.integers(0, n_keys, size=rng.integers(0, n_keys + 1))
+        for cache in caches:
+            cache.gather(warm)
+        live_storage = set(plain.storage_rows(warm).tolist())
+        for _ in range(rounds):
+            rows = rng.integers(0, n_keys, size=batch)
+            ids = rng.integers(0, n_values, size=(batch, size))
+            scores = rng.normal(size=(batch, size)) if store_scores else None
+            hint = _true_overlap_hint(hinted, rows, ids, live_storage, rng)
+            assert plain.scatter(rows, ids, scores) == hinted.scatter(
+                rows, ids, scores, overlap=hint
+            )
+            live_storage |= set(plain.storage_rows(rows).tolist())
+            assert plain.changed_elements == hinted.changed_elements
+            assert plain.initialised_entries == hinted.initialised_entries
+        every_key = np.arange(n_keys)
+        np.testing.assert_array_equal(plain.gather(every_key), hinted.gather(every_key))
+        if store_scores:
+            np.testing.assert_array_equal(
+                plain.gather_scores(every_key), hinted.gather_scores(every_key)
+            )
+
+
+class TestOverlapHintRecountsOnlyRepeats:
+    """With a hint, scatter sorts only the non-first writes of a storage row.
+
+    A silent fall-back to counting every row would keep every parity test
+    green and only show as a slower refresh, so the call sizes are pinned.
+    """
+
+    @pytest.fixture
+    def recounted(self, monkeypatch):
+        sizes = []
+        real = array_cache_module.multiset_overlap_rows
+
+        def counting(a, b):
+            sizes.append(len(a))
+            return real(a, b)
+
+        monkeypatch.setattr(array_cache_module, "multiset_overlap_rows", counting)
+        return sizes
+
+    def test_unique_rows_never_sort(self, recounted):
+        cache = _cache(size=3, n_keys=6)
+        rows = np.array([4, 0, 2])
+        cache.gather(rows)
+        cache.scatter(rows, np.zeros((3, 3), dtype=np.int64), overlap=[0, 0, 0])
+        assert recounted == []
+
+    def test_only_later_writes_are_recounted(self, recounted):
+        cache = _cache(size=3, n_keys=6)
+        rows = np.array([1, 0, 1, 2, 1, 0])
+        cache.gather(rows)
+        cache.scatter(rows, np.zeros((6, 3), dtype=np.int64), overlap=np.zeros(6))
+        assert recounted == [3]  # rows 1, 1 and 0 after their first writes
+
+    def test_bucket_collisions_are_recounted(self, recounted):
+        cache = _cache(size=3, n_keys=6, n_buckets=2)
+        rows = np.arange(6)
+        n_repeats = len(rows) - len(np.unique(cache.storage_rows(rows)))
+        cache.gather(rows)
+        cache.scatter(rows, np.zeros((6, 3), dtype=np.int64), overlap=np.zeros(6))
+        assert recounted == [n_repeats]
+
+    def test_without_hint_every_row_is_counted(self, recounted):
+        cache = _cache(size=3, n_keys=6)
+        cache.scatter(np.array([1, 2]), np.zeros((2, 3), dtype=np.int64))
+        assert recounted == [2]
+
+    def test_sequential_refresh_recounts_only_repeated_rows(self, recounted, tiny_kg):
+        """End to end: one NSCaching update sorts exactly the batch's
+        repeated storage rows, per cache side."""
+        from repro.core.nscaching import NSCachingSampler
+        from repro.models import make_model
+
+        model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
+        sampler = NSCachingSampler(cache_size=4, candidate_size=4, n_buckets=16)
+        sampler.bind(model, tiny_kg, rng=0)
+        batch = tiny_kg.train[:64]
+        rows = sampler.precompute_rows(batch)
+        expected = []
+        for cache, side_rows in (
+            (sampler.head_cache, rows.head), (sampler.tail_cache, rows.tail)
+        ):
+            n_repeats = len(side_rows) - len(np.unique(cache.storage_rows(side_rows)))
+            if n_repeats:
+                expected.append(n_repeats)
+        assert expected  # 64 triples over 16 buckets must collide
+        sampler.update(batch, batch, rows)
+        assert recounted == expected

@@ -12,8 +12,9 @@ from repro.core.strategies import (
     duplicate_mask,
     sample_from_cache,
     select_cache_survivors,
-    selection_changed_elements,
 )
+
+from cache_oracles import _multiset_overlap
 
 
 class TestDuplicateMask:
@@ -219,70 +220,131 @@ class TestSurvivorSelection:
         assert plain_rng.integers(0, 2**31) == selection_rng.integers(0, 2**31)
 
 
-class TestSelectionChangedElements:
-    """The sort-free CE derivation vs the sorted multiset reference."""
+class TestSurvivorSelectionFilled:
+    @given(
+        seed=st.integers(0, 2**16),
+        n_keep=st.integers(1, 5),
+        n_fresh=st.integers(0, 5),
+        batch=st.integers(1, 8),
+        n_values=st.integers(1, 12),
+        strategy=st.sampled_from(list(UpdateStrategy)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_filled_is_a_selected_duplicate(
+        self, seed, n_keep, n_fresh, batch, n_values, strategy
+    ):
+        """``filled`` flags exactly the rows that selected a duplicate
+        column, i.e. the rows with fewer than ``n_keep`` distinct ids, and
+        the selection draws the same numbers as the plain call."""
+        data = np.random.default_rng(seed)
+        union = data.integers(0, n_values, size=(batch, n_keep + n_fresh))
+        scores = data.normal(size=union.shape)
+        plain_rng = np.random.default_rng(seed + 1)
+        selection_rng = np.random.default_rng(seed + 1)
+        plain_ids, plain_scores = select_cache_survivors(
+            union, scores, n_keep, strategy, plain_rng
+        )
+        selection = select_cache_survivors(
+            union, scores, n_keep, strategy, selection_rng, return_selection=True
+        )
+        picked_duplicate = np.take_along_axis(
+            duplicate_mask(union), selection.columns, axis=1
+        ).any(axis=1)
+        np.testing.assert_array_equal(selection.filled, picked_duplicate)
+        distinct = np.array([len(np.unique(row)) for row in union])
+        np.testing.assert_array_equal(selection.filled, distinct < n_keep)
+        np.testing.assert_array_equal(plain_ids, selection.ids)
+        np.testing.assert_array_equal(plain_scores, selection.scores)
+        assert plain_rng.integers(0, 2**31) == selection_rng.integers(0, 2**31)
+
+
+class TestCachedOverlap:
+    """The per-row CE hint vs the sorted multiset reference."""
 
     @staticmethod
-    def _reference_ce(union, selection, n_keep):
-        from repro.core.array_cache import multiset_overlap_rows
-
-        prev = union[:, :n_keep]
-        return int(
-            (n_keep - multiset_overlap_rows(selection.ids, prev)).sum()
+    def _reference(union, selection, n_keep):
+        return np.array(
+            [
+                _multiset_overlap(cached, kept)
+                for cached, kept in zip(union[:, :n_keep], selection.ids)
+            ]
         )
 
     @given(
         seed=st.integers(0, 2**16),
-        n_keep=st.integers(1, 5),
-        n_fresh=st.integers(1, 5),
+        n_keep=st.integers(1, 16),
+        n_fresh=st.integers(1, 24),
         batch=st.integers(1, 8),
         n_values=st.integers(1, 40),
         strategy=st.sampled_from(list(UpdateStrategy)),
     )
-    @settings(max_examples=120, deadline=None)
-    def test_agrees_with_sorted_reference_or_declines(
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_sorted_reference_per_row(
         self, seed, n_keep, n_fresh, batch, n_values, strategy
     ):
-        """Whenever the column derivation answers, it answers exactly what
-        the sorted multiset walk computes — including small id pools where
-        duplicate-filled rows force it to decline (return None)."""
+        """Every row's hint equals the multiset walk, including the
+        duplicate-filled rows small id pools force."""
         rng = np.random.default_rng(seed)
         union = rng.integers(0, n_values, size=(batch, n_keep + n_fresh))
         scores = rng.normal(size=union.shape)
-        unique_rows = np.arange(batch, dtype=np.int64)
         selection = select_cache_survivors(
             union, scores, n_keep, strategy, rng, return_selection=True
         )
-        derived = selection_changed_elements(selection, unique_rows, n_keep)
-        if derived is None:
-            assert selection.filled.any()  # the only decline reason here
-        else:
-            assert derived == self._reference_ce(union, selection, n_keep)
-
-    def test_declines_on_repeated_storage_rows(self, rng):
-        union = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
-        scores = np.zeros((2, 4))
-        selection = select_cache_survivors(
-            union, scores, 2, UpdateStrategy.TOP, rng, return_selection=True
-        )
-        repeated = np.array([3, 3], dtype=np.int64)
-        assert selection_changed_elements(selection, repeated, 2) is None
-        assert selection_changed_elements(selection, np.array([3, 4]), 2) == (
-            self._reference_ce(union, selection, 2)
+        np.testing.assert_array_equal(
+            selection.cached_overlap(union[:, :n_keep]),
+            self._reference(union, selection, n_keep),
         )
 
-    def test_all_survivors_from_cache_means_zero_ce(self, rng):
-        union = np.array([[1, 2, 9, 9]])  # fresh side all duplicates-free
+    def test_duplicate_filled_row_counts_the_multiset(self):
+        # Row 0 had two distinct ids for three slots and kept the repeat
+        # from fresh column 3: the column count says 2, but the survivors
+        # [7, 8, 7] match the cached [7, 8, 7] in all 3 places.  Row 1 is
+        # unfilled and keeps the column count.
+        selection = SurvivorSelection(
+            ids=np.array([[7, 8, 7], [1, 5, 3]]),
+            scores=None,
+            columns=np.array([[0, 1, 3], [0, 4, 2]]),
+            filled=np.array([True, False]),
+        )
+        cached = np.array([[7, 8, 7], [1, 2, 3]])
+        np.testing.assert_array_equal(selection.cached_overlap(cached), [3, 2])
+
+    def test_all_survivors_from_cache_means_full_overlap(self, rng):
+        union = np.array([[1, 2, 9, 9]])
         scores = np.array([[5.0, 4.0, 0.0, 0.0]])
         selection = select_cache_survivors(
             union, scores, 2, UpdateStrategy.TOP, rng, return_selection=True
         )
-        assert selection_changed_elements(selection, np.array([0]), 2) == 0
+        np.testing.assert_array_equal(selection.cached_overlap(union[:, :2]), [2])
 
-    def test_all_survivors_fresh_means_full_ce(self, rng):
+    def test_all_survivors_fresh_means_zero_overlap(self, rng):
         union = np.array([[1, 2, 8, 9]])
         scores = np.array([[0.0, 0.0, 5.0, 4.0]])
         selection = select_cache_survivors(
             union, scores, 2, UpdateStrategy.TOP, rng, return_selection=True
         )
-        assert selection_changed_elements(selection, np.array([0]), 2) == 2
+        np.testing.assert_array_equal(selection.cached_overlap(union[:, :2]), [0])
+
+    def test_hint_feeds_scatter_like_the_sorted_count(self, rng):
+        """Rows repeated in the batch: the hint's first writes plus the
+        scatter-side recount reproduce the unhinted scatter exactly."""
+        from repro.core.array_cache import ArrayNegativeCache
+        from repro.data.keyindex import KeyIndex
+
+        index = KeyIndex(np.arange(4), np.arange(4), 4)
+        caches = [ArrayNegativeCache(3, 6, np.random.default_rng(1)) for _ in range(2)]
+        for cache in caches:
+            cache.attach_index(index)
+        rows = np.array([2, 0, 2, 3, 2])
+        plain, hinted = caches
+        gathered = [cache.gather(rows) for cache in caches]
+        union = np.concatenate([gathered[0], rng.integers(0, 6, size=(5, 3))], axis=1)
+        selection = select_cache_survivors(
+            union, rng.normal(size=union.shape), 3, UpdateStrategy.IMPORTANCE, rng,
+            return_selection=True,
+        )
+        hint = selection.cached_overlap(union[:, :3])
+        assert plain.scatter(rows, selection.ids) == hinted.scatter(
+            rows, selection.ids, overlap=hint
+        )
+        np.testing.assert_array_equal(plain.gather(np.arange(4)), hinted.gather(np.arange(4)))

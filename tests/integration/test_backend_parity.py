@@ -5,8 +5,8 @@ refactors of the oracles in ``tests/cache_oracles.py``, not behaviour
 changes: under the same seed the engine (one row per key, or bucket rows)
 and its dict oracle — and both refresh orchestrations — must produce
 identical cache entries, CE counts, memory accounting and training
-trajectories.  The dict oracles also check every CE hint the fused
-refresh derives.
+trajectories.  The dict oracles also check every per-row CE hint the
+fused refresh derives.
 """
 
 import numpy as np
@@ -232,8 +232,9 @@ class TestTrainingParity:
         history = trainer.run()
         return history, trainer
 
-    # Small batches rarely repeat a cache key, so most refreshes take the
-    # fused CE hint, which the dict oracle checks against its recount.
+    # Every refresh passes the per-row CE hint, which the dict oracle
+    # checks against its multiset walk; batch 64 also repeats cache keys,
+    # whose later writes scatter recounts itself.
     @pytest.mark.parametrize("batch_size", (64, 8))
     def test_same_seed_same_loss_trajectory(self, tiny_kg, batch_size):
         dict_history, dict_trainer = self._history(tiny_kg, NegativeCache, batch_size)

@@ -110,12 +110,20 @@ class TestRowAdapters:
         np.testing.assert_array_equal(cache.get((1, 1)), [1, 2, 9])
 
     def test_scatter_checks_changed_hint(self, rng):
-        """A caller-derived CE hint must equal the multiset recount."""
+        """Each row of a caller-derived overlap hint must equal the
+        multiset walk against the entry it overwrites."""
         cache = self._with_index(rng)
         ids = np.array([[1, 2, 3], [4, 5, 6]])
-        assert cache.scatter(np.array([0, 1]), ids, changed=6) == 6
-        with pytest.raises(AssertionError, match="CE hint 1 != multiset recount 0"):
-            cache.scatter(np.array([0, 1]), ids, changed=1)
+        assert cache.scatter(np.array([0, 1]), ids) == 6
+        swapped = np.array([[3, 2, 1], [4, 5, 9]])
+        with pytest.raises(
+            AssertionError, match="hint for row 1: overlap 3 != multiset walk 2"
+        ):
+            cache.scatter(np.array([0, 1]), swapped, overlap=[3, 3])
+        assert cache.scatter(np.array([0, 1]), swapped, overlap=[3, 2]) == 1
+        # A repeated row's later write is counted against the earlier
+        # write, not checked against its hint.
+        assert cache.scatter(np.array([1, 1]), ids[[0, 1]], overlap=[0, -7]) == 6
 
     def test_gather_without_index_rejected(self, rng):
         cache = NegativeCache(3, 20, rng)
