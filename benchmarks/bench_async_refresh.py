@@ -33,7 +33,6 @@ or as a plain script (CI smoke: tiny sizes, relaxed assertions)::
 
 import argparse
 import multiprocessing as mp
-import os
 import time
 from pathlib import Path
 
@@ -48,6 +47,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.parallel.pool import RefreshPool
 from repro.train.config import TrainConfig
 from repro.train.trainer import Trainer
+from repro.utils import usable_cpu_count
 
 SEED = 0
 SCALE = 0.3
@@ -67,13 +67,6 @@ PERIOD_GRID = (1, 2, 4)
 MIN_CPUS_FOR_ASSERT = 4
 
 OUT_PATH = Path(__file__).parent / "out" / "X9.txt"
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 # -- X9a: full-copy vs dirty-row publish cost ---------------------------------
@@ -239,7 +232,7 @@ def run_period_benchmark(scale=SCALE, batch_size=PAPER_BATCH,
 
 
 def render(sync_rows, overlap_rows, period_rows) -> str:
-    cpus = _cpu_count()
+    cpus = usable_cpu_count()
     sync_table = format_table(
         ("entities", "full MB/sync", "full ms", "dirty MB/sync",
          "dirty ms", "bytes ratio"),
@@ -286,7 +279,7 @@ def test_async_refresh(benchmark, report):
     assert ratio <= 0.10, f"dirty sync ships {ratio:.1%} of full bytes"
     # Lazier schedules must not get slower.
     assert period_speedup >= 1.2, f"period {PERIOD_GRID[-1]} only {period_speedup:.2f}x"
-    if _cpu_count() >= MIN_CPUS_FOR_ASSERT and "fork" in mp.get_all_start_methods():
+    if usable_cpu_count() >= MIN_CPUS_FOR_ASSERT and "fork" in mp.get_all_start_methods():
         assert hidden >= 0.5, f"overlap hid only {hidden:.1%} of the refresh"
 
 
@@ -318,7 +311,7 @@ def main() -> int:
     sync_rows, ratio = run_sync_benchmark()
     overlap_rows, hidden = run_overlap_benchmark()
     period_rows, period_speedup = run_period_benchmark()
-    cpus = _cpu_count()
+    cpus = usable_cpu_count()
     multicore = cpus >= MIN_CPUS_FOR_ASSERT and "fork" in mp.get_all_start_methods()
     if multicore:
         note = f"overlap hid {hidden:.1%} of the refresh wall time (threshold 50%)."

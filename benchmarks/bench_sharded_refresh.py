@@ -29,7 +29,6 @@ or as a plain script (CI smoke: tiny dataset, no speedup assertion)::
 
 import argparse
 import multiprocessing as mp
-import os
 import time
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from repro.bench.harness import build_model
 from repro.bench.tables import format_table
 from repro.core.nscaching import NSCachingSampler
 from repro.data.benchmarks import fb15k_like
+from repro.utils import usable_cpu_count
 
 SEED = 0
 SCALE = 0.3
@@ -53,13 +53,6 @@ WORKER_GRID = (1, 2, 4)
 MIN_CPUS_FOR_ASSERT = 4
 
 OUT_PATH = Path(__file__).parent / "out" / "X7.txt"
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _batches(n_triples: int, batch_size: int, passes: int):
@@ -139,7 +132,7 @@ def run_benchmark(scale=SCALE, batch_size=PAPER_BATCH, n1=PAPER_N1,
 
 
 def render(floor_rows, scaling_rows) -> str:
-    cpus = _cpu_count()
+    cpus = usable_cpu_count()
     floor_table = format_table(
         ("variant", "update() triples/s", "slowdown vs array"),
         floor_rows,
@@ -170,7 +163,7 @@ def test_sharded_refresh_scaling(benchmark, report):
     report("X7", render(floor_rows, scaling_rows))
     # Shared memory + shard bookkeeping must be almost free when unused.
     assert floor <= 1.25, f"sharded storage costs {floor:.2f}x sequentially"
-    if _cpu_count() >= MIN_CPUS_FOR_ASSERT and "fork" in mp.get_all_start_methods():
+    if usable_cpu_count() >= MIN_CPUS_FOR_ASSERT and "fork" in mp.get_all_start_methods():
         assert best >= 2.0, (
             f"4 workers reached only {best:.2f}x over the array baseline"
         )
@@ -192,7 +185,7 @@ def main() -> int:
         print(f"smoke ok: sharded sequential floor {floor:.2f}x (threshold 2x)")
         return 0
     floor_rows, scaling_rows, floor, best = run_benchmark()
-    cpus = _cpu_count()
+    cpus = usable_cpu_count()
     multicore = cpus >= MIN_CPUS_FOR_ASSERT and "fork" in mp.get_all_start_methods()
     if multicore:
         note = f"{best:.2f}x at 4 workers vs the array baseline (threshold 2x)."

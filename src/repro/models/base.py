@@ -21,22 +21,37 @@ A model owns its parameter tables and exposes three things:
   ``tests/models/test_conformance.py`` for the contract they must honour).
   The bilinear family and TransE share one row-blocked gather loop,
   :func:`score_candidate_blocks`, with a per-family block scorer
-  (:func:`matvec_scores`, :func:`residual_norm_scores`).
+  (:func:`matvec_scores`, :func:`residual_norm_scores`); RotatE runs its
+  own gather over the same :func:`split_row_blocks`.
   :meth:`score_all_tails` / :meth:`score_all_heads` (the link-prediction
   evaluator and the serve path) feed contiguous entity ranges to the same
   kernel; the GEMM models (ComplEx, DistMult, RESCAL, HolE) override them
   with one product against the entity table.
+
+Both the row blocks of one candidate call and the entity ranges of one
+``score_all_*`` call are split between the calling thread and one helper
+thread (:func:`split_work`) when at least two CPUs are usable: numpy
+releases the GIL inside the gathers, ufuncs, sums and matmuls of every
+block.  Each thread has its own gather buffer and writes a disjoint slice
+of the output with the ops of the serial loop, so scores are
+byte-identical either way.  A call made while another is in progress
+(inside a split, or from another thread) runs serially, and so does
+every call in a forked child.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from abc import ABC, abstractmethod
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.models.norms import negated_norm_into
 from repro.models.params import GradientBag
+from repro.utils.cpus import usable_cpu_count
 from repro.utils.rng import ensure_rng
 
 __all__ = [
@@ -44,10 +59,13 @@ __all__ = [
     "BlockScorer",
     "KGEModel",
     "candidate_block_rows",
+    "check_gather_ids",
     "entity_range_width",
     "matvec_scores",
     "residual_norm_scores",
     "score_candidate_blocks",
+    "split_row_blocks",
+    "split_work",
 ]
 
 #: Corruption modes understood by :meth:`KGEModel.score_candidates`:
@@ -55,10 +73,106 @@ __all__ = [
 #: ``(candidate, r, anchor)``.
 CANDIDATE_MODES: tuple[str, ...] = ("head", "tail")
 
-#: Bytes of one gathered ``[rows, C, d]`` candidate block: small enough to
-#: stay in a core's L2 cache next to the tables it was gathered from, so
-#: the matvec that scores it never goes back to main memory.
+#: Bytes of one gathered ``[rows, C, d]`` candidate block, per thread:
+#: small enough to stay in one core's L2 cache next to the tables it was
+#: gathered from, so the matvec that scores it never goes back to main
+#: memory.  With the split on, each of the two threads has its own block.
 CANDIDATE_BLOCK_BYTES = 1 << 19
+
+#: Whether :func:`split_work` hands half of the work to the helper thread:
+#: on when at least 2 CPUs are usable, and off for good in a forked child,
+#: whose parent (the refresh pool) already gives it a core of its own.
+_split = usable_cpu_count() >= 2
+#: The one helper thread, started on the first split and joined before
+#: every fork.
+_helper: ThreadPoolExecutor | None = None
+#: Calls of :func:`split_work` in progress that could split (``n >= 2``
+#: with the split on), on any thread.  Only a call that finds none
+#: splits; a nested call (from either thread of a split) or one made
+#: while another thread scores runs serially, so concurrent callers, such
+#: as requests on the threaded HTTP server, each keep one core instead of
+#: queuing behind one helper.  Guarded by ``_idle``'s lock, which a fork
+#: holds from its ``before`` hook until it is done.  Only the call that
+#: found no other, or that hook once none is left, touches ``_helper``.
+_calls = 0
+_idle = threading.Condition(threading.Lock())
+
+
+def split_work(n: int, work: Callable[[int, int], None]) -> None:
+    """Run ``work(start, stop)`` over the items ``[0, n)`` on two threads.
+
+    The calling thread takes the first half of the items and the helper
+    thread the rest; ``work`` must write a disjoint output per item.  It
+    runs as one serial ``work(0, n)`` when ``n < 2``, when the split is off
+    (fewer than 2 usable CPUs, or a forked child), and while another call
+    is in progress: a call made inside a split, from either thread, and
+    concurrent calls from other threads.  So the split never uses more
+    than the caller plus the one helper, and no call waits for the
+    helper to finish another call's work.  An error in the caller's half
+    wins over one in the helper's; either is raised once both halves
+    have finished.
+    """
+    global _calls, _helper
+    if n < 2 or not _split:
+        work(0, n)
+        return
+    with _idle:
+        _calls += 1
+        alone = _calls == 1
+    try:
+        if not alone:
+            work(0, n)
+            return
+        if _helper is None:
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="repro-kernel")
+        half = (n + 1) // 2
+        helped = _helper.submit(work, half, n)
+        try:
+            work(0, half)
+        except BaseException:
+            helped.exception()  # wait for the helper's half, then drop it
+            raise
+        helped.result()
+    finally:
+        with _idle:
+            _calls -= 1
+            if not _calls:
+                _idle.notify_all()
+
+
+def _stop_helper() -> None:
+    """Join the helper thread; the caller holds ``_idle`` with no call in
+    progress, so the helper is idle."""
+    global _helper
+    if _helper is not None:
+        _helper.shutdown()
+        _helper = None
+
+
+def _before_fork() -> None:
+    # Wait out the calls in progress, then keep _idle held until the fork
+    # is done, so no thread can start a helper that the fork would copy.
+    _idle.acquire()
+    _idle.wait_for(lambda: not _calls)
+    _stop_helper()
+
+
+def _after_fork_in_parent() -> None:
+    _idle.release()
+
+
+def _serial_in_child() -> None:
+    global _split
+    _split = False
+    _idle.release()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_before_fork,
+        after_in_parent=_after_fork_in_parent,
+        after_in_child=_serial_in_child,
+    )
 
 
 def candidate_block_rows(n_candidates: int, width: int, itemsize: int = 8) -> int:
@@ -74,7 +188,10 @@ def entity_range_width(n_queries: int, dim: int) -> int:
     rounding keeps every entity at the same offset within BLAS's unrolled
     groups as in one all-entity call, and keeps BLAS off its small-matrix
     kernels, so the scores match ``score_candidates`` over all entities
-    byte for byte.
+    byte for byte.  The budget is one thread's: with the split on, each
+    of the two threads scores its own ranges of this width.  Sizing the
+    ranges for both threads at once would double their number, and the
+    per-range overhead then costs more than the second core gains.
     """
     return max(64, candidate_block_rows(max(n_queries, 1), dim) // 64 * 64)
 
@@ -122,6 +239,36 @@ def residual_norm_scores(mode: str, p: int) -> BlockScorer:
     return score_block
 
 
+def check_gather_ids(ids: np.ndarray, n_rows: int) -> None:
+    """Raise fancy indexing's ``IndexError`` unless every id lies in
+    ``[-n_rows, n_rows)``.
+
+    Kernels gather with ``np.take(..., out=buffer, mode="wrap")``, which
+    skips fancy indexing's temporary and matches Python indexing once the
+    ids pass this check.
+    """
+    low, high = int(ids.min()), int(ids.max())
+    if low < -n_rows or high >= n_rows:
+        bad = low if low < -n_rows else high
+        raise IndexError(
+            f"index {bad} is out of bounds for axis 0 with size {n_rows}"
+        )
+
+
+def split_row_blocks(
+    n_rows: int, step: int, score_rows: Callable[[int, int], None]
+) -> None:
+    """Call ``score_rows(start, stop)`` on whole blocks of ``step`` rows of
+    ``[0, n_rows)``: the caller's half of the blocks and the helper's (see
+    :func:`split_work`).  ``score_rows`` allocates its own gather buffer
+    and walks its rows ``step`` at a time."""
+
+    def blocks(first: int, last: int) -> None:
+        score_rows(first * step, min(last * step, n_rows))
+
+    split_work(-(-n_rows // step), blocks)
+
+
 def score_candidate_blocks(
     candidates: np.ndarray,
     terms: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -136,32 +283,29 @@ def score_candidate_blocks(
     validated input of :meth:`KGEModel.score_candidates`).
     Rather than gathering the whole ``[B, C, d]`` block at once, a few
     rows (:func:`candidate_block_rows`) are gathered into one reused
-    buffer and scored while still cache-resident.  Every row is scored
-    by the same operations as over the full block (a matvec, or
+    buffer per thread and scored while still cache-resident.  Every row
+    is scored by the same operations as over the full block (a matvec, or
     element-wise ops and a sum over the contiguous last axis), so the
     scores are byte-identical to the unblocked kernels.
     """
     b, c = candidates.shape
     first_table = terms[0][0]
     n_rows, d = first_table.shape
-    # np.take into a preallocated buffer skips fancy indexing's temporary;
-    # its "wrap" mode matches Python indexing once ids lie in [-n, n).
-    low, high = int(candidates.min()), int(candidates.max())
-    if low < -n_rows or high >= n_rows:
-        bad = low if low < -n_rows else high
-        raise IndexError(
-            f"index {bad} is out of bounds for axis 0 with size {n_rows}"
-        )
+    check_gather_ids(candidates, n_rows)
     step = candidate_block_rows(c, d, first_table.itemsize)
     out = np.empty((b, c), dtype=np.float64)
-    buffer = np.empty((min(step, b), c, d), dtype=first_table.dtype)
-    for start in range(0, b, step):
-        stop = min(start + step, b)
-        rows = candidates[start:stop]
-        block = buffer[: stop - start]
-        for k, (table, query) in enumerate(terms):
-            np.take(table, rows, axis=0, out=block, mode="wrap")
-            score_block(block, query[start:stop], out[start:stop], k)
+
+    def score_rows(begin: int, end: int) -> None:
+        buffer = np.empty((min(step, end - begin), c, d), dtype=first_table.dtype)
+        for start in range(begin, end, step):
+            stop = min(start + step, end)
+            rows = candidates[start:stop]
+            block = buffer[: stop - start]
+            for k, (table, query) in enumerate(terms):
+                np.take(table, rows, axis=0, out=block, mode="wrap")
+                score_block(block, query[start:stop], out[start:stop], k)
+
+    split_row_blocks(b, step, score_rows)
     return out
 
 
@@ -338,7 +482,9 @@ class KGEModel(ABC):
         :meth:`_score_candidates_impl` as ``[B, width]`` candidate blocks,
         so the temporaries stay within a few candidate blocks whatever the
         entity count, and every score has the bytes
-        :meth:`score_candidates` gives it.
+        :meth:`score_candidates` gives it.  The ranges are split between
+        the caller and the helper thread (:func:`split_work`); the kernel
+        calls inside them run serially.
         """
         anchors = np.asarray(anchors, dtype=np.int64)
         r = np.asarray(r, dtype=np.int64)
@@ -350,13 +496,19 @@ class KGEModel(ABC):
         # The last range takes the remainder (up to 2 * width - 1 ids), so
         # BLAS sees the tail of the entity axis as in one all-entity call.
         n_ranges = max(1, n // width)
-        for i in range(n_ranges):
-            start = i * width
-            stop = n if i == n_ranges - 1 else start + width
-            ids = np.broadcast_to(
-                np.arange(start, stop, dtype=np.int64), (b, stop - start)
-            )
-            out[:, start:stop] = self._score_candidates_impl(anchors, r, ids, mode)
+
+        def score_ranges(first: int, last: int) -> None:
+            for i in range(first, last):
+                start = i * width
+                stop = n if i == n_ranges - 1 else start + width
+                ids = np.broadcast_to(
+                    np.arange(start, stop, dtype=np.int64), (b, stop - start)
+                )
+                out[:, start:stop] = self._score_candidates_impl(
+                    anchors, r, ids, mode
+                )
+
+        split_work(n_ranges, score_ranges)
         return out
 
     # -- constraints ----------------------------------------------------------

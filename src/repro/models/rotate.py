@@ -21,9 +21,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.base import KGEModel
+from repro.models.base import (
+    KGEModel,
+    candidate_block_rows,
+    check_gather_ids,
+    split_row_blocks,
+)
 from repro.models.initializers import xavier_uniform
-from repro.models.norms import check_p, norm_backward, norm_forward
+from repro.models.norms import (
+    check_p,
+    negated_norm_into,
+    norm_backward,
+    norm_forward,
+)
 from repro.models.params import GradientBag
 
 __all__ = ["RotatE"]
@@ -80,33 +90,59 @@ class RotatE(KGEModel):
     def _score_candidates_impl(
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:
-        """Fused candidate kernel: both residual halves are written straight
-        into one ``[B, C, 2d]`` buffer (no per-half temporaries or final
-        concatenate copy)."""
+        """Row-blocked candidate kernel: a few rows at a time, both tables
+        are gathered into two reused ``[rows, C, d]`` halves, combined into
+        one reused ``[rows, C, 2d]`` residual and reduced in place — the
+        element-wise ops of the unblocked residual, so the same bytes.
+        The block rows fit the residual to the byte budget; the halves
+        take as much again (fitting all three was slower)."""
         p = self.params
+        ent_re, ent_im = p["entity_re"], p["entity_im"]
         theta = p["phase"][r]
         cos, sin = np.cos(theta), np.sin(theta)
-        c_re = p["entity_re"][candidates]  # [B, C, d]
-        c_im = p["entity_im"][candidates]
-        b, c = candidates.shape
-        e = np.empty((b, c, 2 * self.dim))
-        e_re, e_im = e[:, :, : self.dim], e[:, :, self.dim :]
         if mode == "tail":
             # Rotate the anchor head once per row; e = (h o r) - cand.
-            h_re, h_im = p["entity_re"][anchors], p["entity_im"][anchors]
+            h_re, h_im = ent_re[anchors], ent_im[anchors]
             rot_re = h_re * cos - h_im * sin
             rot_im = h_re * sin + h_im * cos
-            np.subtract(rot_re[:, None, :], c_re, out=e_re)
-            np.subtract(rot_im[:, None, :], c_im, out=e_im)
         else:
             # Rotate every candidate forward; e = (cand o r) - t.
-            np.multiply(c_re, cos[:, None, :], out=e_re)
-            e_re -= c_im * sin[:, None, :]
-            e_re -= p["entity_re"][anchors][:, None, :]
-            np.multiply(c_re, sin[:, None, :], out=e_im)
-            e_im += c_im * cos[:, None, :]
-            e_im -= p["entity_im"][anchors][:, None, :]
-        return -norm_forward(e, self.p)
+            t_re, t_im = ent_re[anchors], ent_im[anchors]
+        check_gather_ids(candidates, self.n_entities)
+        b, c = candidates.shape
+        d = self.dim
+        step = candidate_block_rows(c, 2 * d)
+        out = np.empty((b, c), dtype=np.float64)
+
+        def score_rows(begin: int, end: int) -> None:
+            rows = min(step, end - begin)
+            buffer = np.empty((rows, c, 2 * d))
+            re_buffer, im_buffer = np.empty((rows, c, d)), np.empty((rows, c, d))
+            for start in range(begin, end, step):
+                stop = min(start + step, end)
+                ids = candidates[start:stop]
+                e = buffer[: stop - start]
+                e_re, e_im = e[:, :, :d], e[:, :, d:]
+                c_re, c_im = re_buffer[: stop - start], im_buffer[: stop - start]
+                np.take(ent_re, ids, axis=0, out=c_re, mode="wrap")
+                np.take(ent_im, ids, axis=0, out=c_im, mode="wrap")
+                if mode == "tail":
+                    np.subtract(rot_re[start:stop, None, :], c_re, out=e_re)
+                    np.subtract(rot_im[start:stop, None, :], c_im, out=e_im)
+                else:
+                    cos_b, sin_b = cos[start:stop, None, :], sin[start:stop, None, :]
+                    np.multiply(c_re, cos_b, out=e_re)
+                    np.multiply(c_re, sin_b, out=e_im)
+                    np.multiply(c_im, sin_b, out=c_re)  # c_re is free now
+                    e_re -= c_re
+                    e_re -= t_re[start:stop, None, :]
+                    np.multiply(c_im, cos_b, out=c_im)
+                    e_im += c_im
+                    e_im -= t_im[start:stop, None, :]
+                negated_norm_into(e, self.p, out[start:stop])
+
+        split_row_blocks(b, step, score_rows)
+        return out
 
     # -- backward ------------------------------------------------------------
     def grad(

@@ -1,4 +1,5 @@
-"""Shared utilities: RNG handling, timing, validation and lightweight logging.
+"""Shared utilities: RNG handling, timing, validation, CPU counting and
+lightweight logging.
 
 These helpers are intentionally tiny and dependency-free.  Every stochastic
 component in the library accepts a :class:`numpy.random.Generator` and routes
@@ -6,6 +7,7 @@ it through :func:`repro.utils.rng.ensure_rng`, which is what makes whole
 experiments reproducible from a single integer seed.
 """
 
+from repro.utils.cpus import usable_cpu_count
 from repro.utils.logging import get_logger
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.timer import Timer
@@ -25,4 +27,5 @@ __all__ = [
     "get_logger",
     "require",
     "spawn_rngs",
+    "usable_cpu_count",
 ]

@@ -6,9 +6,12 @@ oracle directly (the tests directory is not a package).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from repro.models import make_model
+from repro.models.base import CANDIDATE_BLOCK_BYTES, candidate_block_rows
 from repro.models.norms import norm_forward
 
 #: Vocabulary the conformance models are built with — deliberately odd
@@ -118,8 +121,35 @@ def _transe_oracle(model, anchors, r, candidates, mode):
     return -norm_forward(e, model.p)
 
 
+def _rotate_oracle(model, anchors, r, candidates, mode):
+    """RotatE's fused kernel before row-blocking: both residual halves
+    written into one ``[B, C, 2d]`` buffer gathered whole."""
+    p = model.params
+    theta = p["phase"][r]
+    cos, sin = np.cos(theta), np.sin(theta)
+    c_re = p["entity_re"][candidates]  # [B, C, d]
+    c_im = p["entity_im"][candidates]
+    b, c = candidates.shape
+    e = np.empty((b, c, 2 * model.dim))
+    e_re, e_im = e[:, :, : model.dim], e[:, :, model.dim :]
+    if mode == "tail":
+        h_re, h_im = p["entity_re"][anchors], p["entity_im"][anchors]
+        rot_re = h_re * cos - h_im * sin
+        rot_im = h_re * sin + h_im * cos
+        np.subtract(rot_re[:, None, :], c_re, out=e_re)
+        np.subtract(rot_im[:, None, :], c_im, out=e_im)
+    else:
+        np.multiply(c_re, cos[:, None, :], out=e_re)
+        e_re -= c_im * sin[:, None, :]
+        e_re -= p["entity_re"][anchors][:, None, :]
+        np.multiply(c_re, sin[:, None, :], out=e_im)
+        e_im += c_im * cos[:, None, :]
+        e_im -= p["entity_im"][anchors][:, None, :]
+    return -norm_forward(e, model.p)
+
+
 #: Registry name -> unblocked reference kernel, for every model whose
-#: ``_score_candidates_impl`` runs through ``score_candidate_blocks``.
+#: ``_score_candidates_impl`` gathers its candidates a few rows at a time.
 UNBLOCKED_KERNELS = {
     "ComplEx": _complex_oracle,
     "DistMult": _distmult_oracle,
@@ -127,15 +157,27 @@ UNBLOCKED_KERNELS = {
     "RESCAL": _rescal_oracle,
     "HolE": _hole_oracle,
     "TransE": _transe_oracle,
+    "RotatE": _rotate_oracle,
 }
 
 #: Kernel variants the row-blocking tests cover: registry name and
 #: constructor options per case.  The oracle is ``UNBLOCKED_KERNELS`` of
-#: the registry name (TransE's oracle reads the model's norm order).
+#: the registry name (TransE's and RotatE's oracles read the model's norm
+#: order).
 BLOCKED_KERNEL_CASES = {
     **{name: (name, {}) for name in UNBLOCKED_KERNELS},
     "TransE-p2": ("TransE", {"p": 2}),
+    "RotatE-p1": ("RotatE", {"p": 1}),
 }
+
+#: Gathered columns per embedding dimension where it is not 1: RotatE
+#: gathers ``[re | im]`` rows, so its blocks hold half as many rows.
+GATHER_WIDTH = {"RotatE": 2}
+
+
+def block_rows(name, n_candidates, dim):
+    """Rows per gathered block of registry model ``name``'s kernel."""
+    return candidate_block_rows(n_candidates, GATHER_WIDTH.get(name, 1) * dim)
 
 
 # -- broadcast score_all paths -----------------------------------------------
@@ -229,3 +271,26 @@ UNBLOCKED_SCORE_ALL = {
     "TransE": _transe_score_all_oracle,
     "RotatE": _rotate_score_all_oracle,
 }
+
+
+def assert_score_all_memory_bounded(model_name, mode, rng):
+    """Peak memory of one ``score_all_*`` call stays within the output plus
+    a few candidate blocks, however many entities there are (the
+    [chunk, E, d] broadcast peaked at hundreds of MB here)."""
+    n, b = 20_000, 16
+    model = make_model(model_name, n, CONF_N_RELATIONS, 8, rng=5)
+    anchors = rng.integers(0, n, b)
+    r = rng.integers(0, CONF_N_RELATIONS, b)
+    tracemalloc.start()
+    try:
+        if mode == "tail":
+            model.score_all_tails(anchors, r)
+        else:
+            model.score_all_heads(r, anchors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = b * n * 8
+    assert peak < output + 8 * CANDIDATE_BLOCK_BYTES, (
+        f"peak {peak} B, output {output} B"
+    )

@@ -16,10 +16,10 @@ is caught by construction:
 * early ``ValueError`` on an unknown corruption mode or bad shapes;
 * edge cases: empty batch, a single candidate (``N1 + N2 == 1``), ids at
   ``n_entities - 1``;
-* row-blocking: the bilinear and TransE kernels score a few rows per
-  gather, and must stay byte-identical to the unblocked gather + matmul
-  (or residual-norm) oracle for batch sizes on both sides of every block
-  boundary;
+* row-blocking: the bilinear, TransE and RotatE kernels score a few rows
+  per gather, and must stay byte-identical to the unblocked gather +
+  matmul (or residual-norm) oracle for batch sizes on both sides of every
+  block boundary;
 * entity-blocked ``score_all_*``: chunk-independent, byte-identical to
   ``score_candidates`` over all entities (and, for TransE and RotatE, to
   the old broadcast path) on both sides of every entity-range boundary,
@@ -29,14 +29,11 @@ Every test runs for every entry in ``MODEL_REGISTRY`` via the
 ``conformance_model`` fixture (see ``conftest.py``).
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from repro.models import MODEL_REGISTRY, make_model
 from repro.models.base import (
-    CANDIDATE_BLOCK_BYTES,
     CANDIDATE_MODES,
     KGEModel,
     candidate_block_rows,
@@ -51,6 +48,8 @@ from conformance_fixtures import (
     CONF_N_RELATIONS,
     UNBLOCKED_KERNELS,
     UNBLOCKED_SCORE_ALL,
+    assert_score_all_memory_bounded,
+    block_rows,
     build_conformance_model,
     looped_reference_scores,
 )
@@ -306,7 +305,7 @@ class TestRowBlockedKernels:
         self, case, mode, dim, width, rng
     ):
         model, oracle = _blocked_case(case, dim)
-        block = candidate_block_rows(width, dim)
+        block = block_rows(BLOCKED_KERNEL_CASES[case][0], width, dim)
         for b in _boundary_batch_sizes(block):
             anchors = rng.integers(0, CONF_N_ENTITIES, b)
             r = rng.integers(0, CONF_N_RELATIONS, b)
@@ -318,7 +317,7 @@ class TestRowBlockedKernels:
     def test_non_contiguous_candidates_byte_identical(self, case, mode, rng):
         dim, width = 64, 100
         model, oracle = _blocked_case(case, dim)
-        b = 3 * candidate_block_rows(width, dim) + 5
+        b = 3 * block_rows(BLOCKED_KERNEL_CASES[case][0], width, dim) + 5
         anchors = rng.integers(0, CONF_N_ENTITIES, b)
         r = rng.integers(0, CONF_N_RELATIONS, b)
         strided = rng.integers(0, CONF_N_ENTITIES, (b, 2 * width))[:, ::2]
@@ -429,20 +428,9 @@ def test_score_all_ignores_chunk(conformance_model, mode, rng):
 def test_score_all_memory_is_bounded(model_name, mode, rng):
     """Peak memory stays within the output plus a few candidate blocks,
     however many entities there are (the [chunk, E, d] broadcast peaked
-    at hundreds of MB here)."""
-    n, b = 20_000, 16
-    model = make_model(model_name, n, CONF_N_RELATIONS, 8, rng=5)
-    anchors, r = _queries(rng, b, n)
-    tracemalloc.start()
-    try:
-        _score_all(model, anchors, r, mode)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    output = b * n * 8
-    assert peak < output + 8 * CANDIDATE_BLOCK_BYTES, (
-        f"peak {peak} B, output {output} B"
-    )
+    at hundreds of MB here).  ``test_kernel_threads.py`` repeats this with
+    the two-thread split forced on."""
+    assert_score_all_memory_bounded(model_name, mode, rng)
 
 
 # -- the base-class fallback ---------------------------------------------------
