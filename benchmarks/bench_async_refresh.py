@@ -6,10 +6,11 @@ the dominant cost and worker counts stop paying.  This benchmark pins
 the two mechanisms that remove it from the critical path:
 
 1. **X9a — sync bytes/time at growing entity counts**: a full-copy
-   publish vs the dirty-row delta publish
+   publish (a pool nobody marks) vs the dirty-row delta publish
    (:class:`~repro.parallel.dirty.DirtyRowTracker`) with a realistic
    per-batch dirty set.  Per-sync bytes must scale with the dirty
-   fraction — a sliver of the table at scale — not the table size.
+   fraction — a sliver of the table at scale — not the table size
+   (``tests/parallel/test_pool.py`` pins the byte ratio in tier-1).
 2. **X9b — overlap hiding**: trainer phase seconds with the
    double-buffered dispatch/collect pipeline on vs off.  The visible
    refresh cost under overlap (dispatch + un-hidden collect wait) must
@@ -70,33 +71,39 @@ OUT_PATH = Path(__file__).parent / "out" / "X9.txt"
 
 
 # -- X9a: full-copy vs dirty-row publish cost ---------------------------------
-def sync_cost(n_entities, *, dirty_sync, dim=SYNC_DIM, dirty_rows=DIRTY_ROWS,
+def sync_cost(n_entities, *, marked, dim=SYNC_DIM, dirty_rows=DIRTY_ROWS,
               syncs=SYNCS):
     """(bytes/sync, ms/sync) of steady-state parameter publishes.
 
     A cache-less pool isolates the publish itself: the first (always
-    full) sync is taken out of band, then each measured sync marks a
-    batch-realistic dirty set and publishes — the delta path ships the
-    marked slices, the full path re-copies every table.
+    full) sync is taken out of band, then each measured sync draws a
+    batch-realistic dirty set and publishes.  With ``marked`` the set is
+    reported through ``mark_dirty`` and the delta path ships its slices;
+    a pool that is never marked re-copies every table.
     """
     model = make_model("TransE", n_entities, 16, dim, rng=SEED)
     pool = RefreshPool(
         model, {}, n_entities=n_entities, candidate_size=1,
         update_strategy="importance", seed=SEED, n_workers=1,
-        use_processes=False, dirty_sync=dirty_sync,
     )
     try:
         pool.start()
         pool.sync_params()  # first publish is full by contract
         rng = np.random.default_rng(1)
-        total_bytes = 0
+
+        def publish():
+            entity_rows = rng.integers(0, n_entities, size=dirty_rows)
+            relation_rows = rng.integers(0, 16, size=64)
+            if marked:
+                pool.mark_dirty("entity", entity_rows)
+                pool.mark_dirty("relation", relation_rows)
+            return pool.sync_params().bytes_copied
+
+        # Untimed warm-up: a process's first np.unique call (the tracker's
+        # dedup) pays a one-off lazy import worth ~100 small syncs.
+        publish()
         started = time.perf_counter()
-        for _ in range(syncs):
-            pool.mark_dirty(
-                "entity", rng.integers(0, n_entities, size=dirty_rows)
-            )
-            pool.mark_dirty("relation", rng.integers(0, 16, size=64))
-            total_bytes += pool.sync_params().bytes_copied
+        total_bytes = sum(publish() for _ in range(syncs))
         elapsed = time.perf_counter() - started
         return total_bytes / syncs, elapsed / syncs * 1e3
     finally:
@@ -110,11 +117,11 @@ def run_sync_benchmark(entity_grid=ENTITY_GRID, dim=SYNC_DIM,
     worst_ratio = 0.0
     for n_entities in entity_grid:
         full_bytes, full_ms = sync_cost(
-            n_entities, dirty_sync=False, dim=dim,
+            n_entities, marked=False, dim=dim,
             dirty_rows=dirty_rows, syncs=syncs,
         )
         dirty_bytes, dirty_ms = sync_cost(
-            n_entities, dirty_sync=True, dim=dim,
+            n_entities, marked=True, dim=dim,
             dirty_rows=dirty_rows, syncs=syncs,
         )
         ratio = dirty_bytes / full_bytes
@@ -179,7 +186,7 @@ def period_throughput(dataset, *, period, batch_size, n1=PAPER_N1,
     model = build_model("TransE", dataset, dim=DIM, seed=SEED)
     sampler = NSCachingSampler(
         cache_size=n1, candidate_size=n2, n_shards=4, refresh_workers=2,
-        refresh_processes=False, refresh_period=period,
+        refresh_period=period,
     )
     sampler.bind(model, dataset, rng=SEED)
     registry = MetricsRegistry()
@@ -256,7 +263,7 @@ def render(sync_rows, overlap_rows, period_rows) -> str:
         period_rows,
         title=(
             "X9c: lazy within-epoch refresh schedule — period k divides "
-            "refresh and sync cost (dirty sync on, inline 2-worker pool)"
+            "refresh and sync cost (dirty sync on, forked 2-worker pool)"
         ),
     )
     return sync_table + "\n\n" + overlap_table + "\n\n" + period_table

@@ -10,9 +10,7 @@ cache row-space lets it run on multiple processes
    shared-memory storage + shard bookkeeping with no parallelism to pay
    for it (must stay within ~1.25x).
 2. **scaling** — full ``NSCachingSampler.update()`` throughput across a
-   ``n_shards x refresh_workers`` grid, including the parallel machinery
-   at 1 worker (task split + per-shard streams, inline) so the
-   process-offload win is separable from the orchestration cost.
+   ``n_shards x refresh_workers`` grid of forked worker pools.
 
 The speedup assertion (>= 2x at 4 workers) only runs on machines with at
 least 4 CPUs — a single-core container cannot exhibit multiprocess
@@ -47,8 +45,8 @@ DIM = 32
 PAPER_N1 = PAPER_N2 = 50
 PAPER_BATCH = 1024
 PASSES = 3
-#: Worker counts of the scaling arm (1 = inline parallel machinery).
-WORKER_GRID = (1, 2, 4)
+#: Worker counts of the scaling arm.
+WORKER_GRID = (2, 4)
 #: Cores needed before the >= 2x speedup assertion is meaningful.
 MIN_CPUS_FOR_ASSERT = 4
 
@@ -62,12 +60,12 @@ def _batches(n_triples: int, batch_size: int, passes: int):
 
 
 def update_throughput(dataset, *, n1, n2, batch_size, passes=PASSES,
-                      workers=1, n_shards=None, use_processes=True):
+                      workers=1, n_shards=None):
     """Triples/sec through the full ``update()`` with TransE scoring."""
     model = build_model("TransE", dataset, dim=DIM, seed=SEED)
     sampler = NSCachingSampler(
         cache_size=n1, candidate_size=n2, n_shards=n_shards,
-        refresh_workers=workers, refresh_processes=use_processes,
+        refresh_workers=workers,
     )
     sampler.bind(model, dataset, rng=SEED)
     rows = sampler.precompute_rows(dataset.train)
@@ -115,15 +113,9 @@ def run_benchmark(scale=SCALE, batch_size=PAPER_BATCH, n1=PAPER_N1,
         throughput = update_throughput(
             dataset, n1=n1, n2=n2,
             batch_size=batch_size, passes=passes,
-            workers=max(workers, 2) if workers == 1 else workers,
-            n_shards=n_shards,
-            use_processes=workers > 1,
+            workers=workers, n_shards=n_shards,
         )
-        label = (
-            f"{n_shards} shards x 1 worker (inline pool)"
-            if workers == 1
-            else f"{n_shards} shards x {workers} workers"
-        )
+        label = f"{n_shards} shards x {workers} workers"
         speedup = throughput / baseline
         scaling_rows.append((label, round(throughput), round(speedup, 3)))
         if workers == max(worker_grid):
@@ -178,7 +170,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.smoke:
         floor_rows, scaling_rows, floor, _ = run_benchmark(
-            scale=0.1, batch_size=256, passes=2, worker_grid=(1, 2)
+            scale=0.1, batch_size=256, passes=2, worker_grid=(2,)
         )
         print(render(floor_rows, scaling_rows))
         assert floor <= 2.0, f"sharded sequential floor collapsed: {floor:.2f}x"

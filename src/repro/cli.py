@@ -103,12 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--refresh-workers >= 2, results stay bit-identical",
     )
     train.add_argument(
-        "--no-dirty-sync", action="store_true",
-        help="ship full parameter copies to refresh workers every batch "
-             "instead of only optimizer-touched rows (bit-identical, "
-             "slower; for A/B timing)",
-    )
-    train.add_argument(
         "--profile", action="store_true",
         help="report per-phase timing (sample/score/cache-update/"
              "score-candidates/…) after training",
@@ -270,7 +264,6 @@ def _sampler_kwargs(args: argparse.Namespace) -> dict[str, object]:
             "refresh_workers": args.refresh_workers,
             "refresh_period": args.refresh_period,
             "refresh_overlap": args.refresh_overlap,
-            "dirty_sync": not args.no_dirty_sync,
         }
         return kwargs
     if args.sampler in ("KBGAN", "SelfAdv"):

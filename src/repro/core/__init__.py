@@ -6,7 +6,8 @@
   (``n_buckets``) and an optional shared-memory allocator
   (``n_shards``);
 * :mod:`repro.core.strategies` — sample-from-cache and update-cache
-  strategies with the exploration/exploitation trade-offs of Figure 6;
+  strategies with the exploration/exploitation trade-offs of Figure 6,
+  and :func:`refresh_cache_rows`, the one Alg. 3 refresh body;
 * :mod:`repro.core.nscaching` — :class:`NSCachingSampler`, Algorithms 2-3;
 * :mod:`repro.core.stats` — RR / NZL / CE instrumentation (Figures 7-8).
 """
@@ -18,6 +19,7 @@ from repro.core.strategies import (
     SampleStrategy,
     UpdateStrategy,
     duplicate_mask,
+    refresh_cache_rows,
     sample_from_cache,
     select_cache_survivors,
 )
@@ -31,6 +33,7 @@ __all__ = [
     "UpdateStrategy",
     "duplicate_mask",
     "multiset_overlap_rows",
+    "refresh_cache_rows",
     "sample_from_cache",
     "select_cache_survivors",
 ]

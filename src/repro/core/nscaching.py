@@ -29,25 +29,27 @@ keys onto a fixed number of rows (§VI), and shared storage
 (``n_shards``, or ``refresh_workers >= 2``) moves the rows into shared
 memory; neither changes the refresh below.
 
-The refresh itself (Alg. 3) is **fused**: the candidate union is
-assembled in a persistent per-sampler buffer, scored in one shot through
-the model's :meth:`~repro.models.base.KGEModel.score_candidates` kernel,
-and the top-``N1`` survivors go straight from ``argpartition`` into the
-cache ``scatter`` — no intermediate concatenate/score-gather copies.  The
-CE count arrives as a per-row hint derived from the selection's column
-structure instead of a multiset sort, and ``scatter`` recounts locally
-only the storage rows the batch writes more than once.  The
-step-by-step concatenate → score → select → scatter orchestration lives
-on as a test oracle, bit-identical under a fixed seed
+The refresh itself (Alg. 3) is **fused**
+(:func:`~repro.core.strategies.refresh_cache_rows`): the candidate union
+is assembled in a persistent per-sampler buffer, scored in one shot
+through the model's :meth:`~repro.models.base.KGEModel.score_candidates`
+kernel, and the top-``N1`` survivors go straight from ``argpartition``
+into the cache ``scatter`` — no intermediate concatenate/score-gather
+copies.  The CE count arrives as a per-row hint derived from the
+selection's column structure instead of a multiset sort, and ``scatter``
+recounts locally only the storage rows the batch writes more than once.
+The step-by-step concatenate → score → select → scatter orchestration
+lives on as a test oracle, bit-identical under a fixed seed
 (``tests/integration/test_backend_parity.py``).
 
 With ``refresh_workers >= 2`` the refresh instead runs on a
 :class:`~repro.parallel.pool.RefreshPool`:
 each batch is split by the cache's shard plan and every touched shard's
 slice is refreshed by a worker process against shared-memory storage,
-drawing from its own ``(seed, mode, shard, epoch, batch)`` stream —
-deterministic and worker-count-independent, though a different (equally
-valid) trajectory than the sequential single-stream path.
+through the same ``refresh_cache_rows`` but drawing from its own
+``(seed, mode, shard, epoch, batch)`` stream — deterministic and
+worker-count-independent, though a different (equally valid) trajectory
+than the sequential single-stream path.
 
 Batching note: the paper updates caches triple-by-triple; this
 implementation vectorises over the batch.  When two rows of one batch share
@@ -74,8 +76,8 @@ from repro.core.array_cache import ArrayNegativeCache, layout_count
 from repro.core.strategies import (
     SampleStrategy,
     UpdateStrategy,
+    refresh_cache_rows,
     sample_from_cache,
-    select_cache_survivors,
 )
 from repro.data.dataset import KGDataset
 from repro.data.keyindex import TripleKeyIndex
@@ -209,10 +211,8 @@ class NSCachingSampler(NegativeSampler):
         n_buckets: int | None = None,
         n_shards: int | None = None,
         refresh_workers: int = 1,
-        refresh_processes: bool = True,
         refresh_period: int = 1,
         refresh_overlap: bool = False,
-        dirty_sync: bool = True,
     ) -> None:
         """
         Parameters
@@ -253,12 +253,8 @@ class NSCachingSampler(NegativeSampler):
             of the worker count — but a *different* (equally valid)
             trajectory than the sequential single-stream path.  The
             default ``1`` keeps the sequential refresh, bit-identical
-            across layouts under a fixed seed.
-        refresh_processes:
-            ``False`` makes the parallel refresh run its shard tasks
-            inline in this process (the deterministic fallback) instead
-            of forking workers — bit-identical to process execution; used
-            by the parity tests and on platforms without ``fork``.
+            across layouts under a fixed seed.  Without the ``fork``
+            start method the pool runs its tasks inline, bit-identical.
         refresh_period:
             ``k`` — refresh the caches only every ``k``-th batch of an
             epoch (default 1 = every batch).  The lazy *within-epoch*
@@ -277,12 +273,6 @@ class NSCachingSampler(NegativeSampler):
             behind the gradients/optimizer phases.  Results stay
             bit-identical to the synchronous parallel path.  Requires
             ``refresh_workers >= 2``.
-        dirty_sync:
-            Allow delta-based parameter publishes to the pool: the
-            trainer reports optimizer-touched rows and each sync ships
-            only those slices (bit-identical to the full copy, which
-            remains the first-sync / fallback path).  ``False`` pins the
-            full copy for A/B benchmarking.
         """
         super().__init__(bernoulli=bernoulli)
         if cache_size <= 0 or candidate_size <= 0:
@@ -325,10 +315,8 @@ class NSCachingSampler(NegativeSampler):
         self.n_buckets = n_buckets
         self.n_shards = n_shards
         self.refresh_workers = int(refresh_workers)
-        self.refresh_processes = bool(refresh_processes)
         self.refresh_period = int(refresh_period)
         self.refresh_overlap = bool(refresh_overlap)
-        self.dirty_sync = bool(dirty_sync)
         self.key_index: TripleKeyIndex | None = None
         self.head_cache: ArrayNegativeCache | None = None
         self.tail_cache: ArrayNegativeCache | None = None
@@ -547,16 +535,6 @@ class NSCachingSampler(NegativeSampler):
             else:
                 self._refresh_side(batch, side_rows, mode)
 
-    def _score_union(
-        self, batch: np.ndarray, union: np.ndarray, mode: str
-    ) -> np.ndarray:
-        """Score the candidate union with the model's fused kernel."""
-        anchors = batch[:, TAIL] if mode == "head" else batch[:, HEAD]
-        if self.score_timer is not None:
-            with self.score_timer:
-                return self.model.score_candidates(anchors, batch[:, REL], union, mode)
-        return self.model.score_candidates(anchors, batch[:, REL], union, mode)
-
     def _union_buffer(self, n_rows: int) -> np.ndarray:
         """Persistent ``[B, N1+N2]`` block the fused refresh assembles into."""
         width = self.cache_size + self.candidate_size
@@ -567,31 +545,17 @@ class NSCachingSampler(NegativeSampler):
     def _refresh_side(self, batch: np.ndarray, rows: np.ndarray, mode: str) -> None:
         """Run Algorithm 3 for one cache, vectorised over the batch.
 
-        Cache entries and fresh draws land directly in the persistent
-        union buffer, the block is scored once through
-        ``score_candidates``, and survivors go from ``argpartition``
-        straight into ``scatter`` (scores are only gathered when the
-        cache co-stores them).
+        :func:`~repro.core.strategies.refresh_cache_rows` on the
+        sampler's own stream, assembling in the persistent union buffer;
+        the ``--profile`` scoring stopwatch times its scoring step.
         """
         assert self.head_cache is not None and self.tail_cache is not None
         cache = self.head_cache if mode == "head" else self.tail_cache
-        n1, n2 = self.cache_size, self.candidate_size
-
-        union = self._union_buffer(len(batch))
-        union[:, :n1] = cache.gather(rows)
-        union[:, n1:] = self.rng.integers(
-            0, self.dataset.n_entities, size=(len(batch), n2), dtype=np.int64
-        )
-        scores = self._score_union(batch, union, mode)
-        selection = select_cache_survivors(
-            union, scores, n1, self.update_strategy, self.rng,
-            return_scores=cache.store_scores, return_selection=True,
-        )
-        # Per-row CE hint from the selection's columns; scatter recounts
-        # only the repeated storage rows of the batch.
-        ce = cache.scatter(
-            rows, selection.ids, selection.scores,
-            overlap=selection.cached_overlap(union[:, :n1]),
+        anchors = batch[:, TAIL] if mode == "head" else batch[:, HEAD]
+        ce = refresh_cache_rows(
+            self.model, cache, anchors, batch[:, REL], rows, mode,
+            self._union_buffer(len(batch)), self.update_strategy, self.rng,
+            score_context=self.score_timer,
         )
         if self._mh is not None:
             self._observe_refresh(mode, len(batch), ce)
@@ -628,9 +592,7 @@ class NSCachingSampler(NegativeSampler):
                 update_strategy=self.update_strategy,
                 seed=self._pool_seed,
                 n_workers=self.refresh_workers,
-                use_processes=self.refresh_processes,
                 double_buffer=self.refresh_overlap,
-                dirty_sync=self.dirty_sync,
                 trace=self.tracer is not None,
             ).start()
         return self._pool
@@ -845,7 +807,6 @@ class NSCachingSampler(NegativeSampler):
         if self.refresh_workers > 1:
             stats["refresh_workers"] = self.refresh_workers
             stats["refresh_overlap"] = self.refresh_overlap
-            stats["dirty_sync"] = self.dirty_sync
             if self._pool is not None:
                 stats["refresh_mode"] = (
                     "processes" if self._pool.using_processes else "inline"
@@ -871,7 +832,6 @@ class NSCachingSampler(NegativeSampler):
         workers = (
             f", refresh_workers={self.refresh_workers}"
             f"{', overlap' if self.refresh_overlap else ''}"
-            f"{'' if self.dirty_sync else ', full-sync'}"
             if self.refresh_workers > 1
             else ""
         )

@@ -16,23 +16,32 @@ The paper's design space, studied in Figure 6:
 
 Without-replacement softmax sampling is implemented with the Gumbel-top-k
 trick so whole batches are processed with one vectorised ``argpartition``.
+:func:`refresh_cache_rows` is the whole Alg. 3 update of a block of cache
+rows built on that selection; the sequential sampler and the refresh
+pool's tasks both run it.
 """
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.core.array_cache import multiset_overlap_rows
 from repro.utils.rng import ensure_rng
 
+if TYPE_CHECKING:
+    from repro.core.array_cache import ArrayNegativeCache
+    from repro.models.base import KGEModel
+
 __all__ = [
     "SampleStrategy",
     "SurvivorSelection",
     "UpdateStrategy",
     "duplicate_mask",
+    "refresh_cache_rows",
     "sample_from_cache",
     "select_cache_survivors",
 ]
@@ -245,3 +254,46 @@ def select_cache_survivors(
     # n_keep non-duplicate keys, all of which are finite.
     filled = np.count_nonzero(dup, axis=1) > n - n_keep
     return SurvivorSelection(ids, scores, top, filled)
+
+
+def refresh_cache_rows(
+    model: KGEModel,
+    cache: ArrayNegativeCache,
+    anchors: np.ndarray,
+    relations: np.ndarray,
+    rows: np.ndarray,
+    mode: str,
+    union: np.ndarray,
+    strategy: UpdateStrategy,
+    rng: np.random.Generator,
+    score_context: AbstractContextManager[object] | None = None,
+) -> int:
+    """Run Algorithm 3 on a block of cache rows; returns the CE count.
+
+    ``union`` is the ``[len(rows), N1 + N2]`` int64 block to assemble in
+    (callers reuse one across batches): each row's ``N1 = cache.size``
+    cached entities, then ``N2`` fresh uniform draws from ``rng``.  The
+    block is scored in one ``model.score_candidates`` call, and the
+    survivors go from the selection straight into ``cache.scatter`` with
+    the sort-free per-row CE hint of
+    :meth:`SurvivorSelection.cached_overlap`.
+
+    ``rng`` also draws the selection noise; rows gathered before their
+    first write initialise from ``cache.rng``.  ``score_context`` is
+    entered around the scoring call only.
+    """
+    n1 = cache.size
+    union[:, :n1] = cache.gather(rows)
+    union[:, n1:] = rng.integers(
+        0, cache.n_entities, size=(len(rows), union.shape[1] - n1), dtype=np.int64
+    )
+    with score_context if score_context is not None else nullcontext():
+        scores = model.score_candidates(anchors, relations, union, mode)
+    selection = select_cache_survivors(
+        union, scores, n1, strategy, rng,
+        return_scores=cache.store_scores, return_selection=True,
+    )
+    return cache.scatter(
+        rows, selection.ids, selection.scores,
+        overlap=selection.cached_overlap(union[:, :n1]),
+    )

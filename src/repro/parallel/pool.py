@@ -6,10 +6,10 @@ disjoint contiguous row range of the shared-memory storage
 (an :class:`~repro.core.array_cache.ArrayNegativeCache` built with
 ``n_shards=``), so the pool simply ships each slice —
 anchor/relation ids plus storage rows, a few KiB — to a persistent worker
-process and lets it run the *same* fused score-and-select kernel the
-sequential path uses, scattering survivors straight back into shared
-memory.  Worker processes are forked once and live for the whole
-training run.
+process and lets it run the *same* Alg. 3 body the sequential path uses
+(:func:`~repro.core.strategies.refresh_cache_rows`), scattering
+survivors straight back into shared memory.  Worker processes are forked
+once and live for the whole training run.
 
 Keeping workers on current embeddings costs one parameter publish per
 refresh (:meth:`RefreshPool.sync_params`).  Two mechanisms keep that
@@ -34,8 +34,8 @@ publish off the critical path:
 Determinism: every task draws from its own generator seeded by
 ``(seed, mode, shard_id, epoch, batch)``.  Streams belong to *shards*,
 not workers, so results are bit-identical across worker counts,
-scheduling orders, the in-process fallback (``use_processes=False``
-or platforms without ``fork``), dirty vs full sync, and overlapped vs
+scheduling orders, the in-process fallback (``n_workers < 2`` or
+platforms without ``fork``), dirty vs full sync, and overlapped vs
 synchronous execution — two seeded runs always produce the same
 caches and training trajectory.  Note this stream layout differs from
 the sequential single-stream path: parallel refresh (>= 2 workers) is a
@@ -57,7 +57,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from repro.core.array_cache import ArrayNegativeCache
-from repro.core.strategies import UpdateStrategy, select_cache_survivors
+from repro.core.strategies import UpdateStrategy, refresh_cache_rows
 from repro.models.base import CANDIDATE_MODES, KGEModel
 from repro.parallel.dirty import DirtyRowTracker
 from repro.parallel.sharded import SharedArrayBlock
@@ -150,20 +150,14 @@ class _TaskFailure:
     message: str
 
 
-@dataclass
-class _SideState:
-    """Per-mode worker view: a row-addressed cache over the shared blocks."""
-
-    view: ArrayNegativeCache
-    n1: int
-
-
 class _WorkerState:
     """Everything a refresh worker needs; built pre-fork, inherited.
 
     ``run`` is also the single-process fallback: the pool calls it inline
-    when processes are disabled or unavailable, so both execution modes
-    share one code path (and are therefore bit-identical).
+    when it has fewer than two workers or no ``fork``, so both execution
+    modes share one code path (and are therefore bit-identical).
+    ``views`` holds one row-addressed cache per mode over the shared
+    storage, ``unions`` one persistent union block per mode.
 
     ``models`` holds one read-only parameter view per shared buffer;
     ``buffer_flag`` is a shared 1-element index naming the buffer the
@@ -183,8 +177,7 @@ class _WorkerState:
         self,
         models: tuple[KGEModel, ...],
         buffer_flag: np.ndarray,
-        sides: dict[str, _SideState],
-        n_entities: int,
+        views: dict[str, ArrayNegativeCache],
         candidate_size: int,
         update_strategy: UpdateStrategy,
         seed: int,
@@ -192,8 +185,8 @@ class _WorkerState:
     ) -> None:
         self.models = models
         self.buffer_flag = buffer_flag
-        self.sides = sides
-        self.n_entities = n_entities
+        self.views = views
+        self.unions: dict[str, np.ndarray] = {}
         self.candidate_size = candidate_size
         self.update_strategy = update_strategy
         self.seed = seed
@@ -216,6 +209,14 @@ class _WorkerState:
             task.batch,
         )
         return np.random.default_rng(np.random.SeedSequence(entropy))
+
+    def union_buffer(self, mode: str, n_rows: int) -> np.ndarray:
+        """The mode's persistent ``[n_rows, N1+N2]`` union block."""
+        union = self.unions.get(mode)
+        if union is None or union.shape[0] < n_rows:
+            width = self.views[mode].size + self.candidate_size
+            union = self.unions[mode] = np.empty((n_rows, width), dtype=np.int64)
+        return union[:n_rows]
 
     def run(self, task: ShardTask) -> ShardResult:
         """Fused Alg. 3 refresh of one shard slice, against shared storage."""
@@ -251,29 +252,14 @@ class _WorkerState:
                 },
             )
         started = time.perf_counter()
-        model = self.models[int(self.buffer_flag[0])]
-        side = self.sides[task.mode]
-        cache = side.view
-        cache.rng = self.task_rng(task)
-        before_changed = cache.changed_elements
+        cache = self.views[task.mode]
+        # One stream per task: new rows materialise from it as well.
+        cache.rng = rng = self.task_rng(task)
         before_init = cache.initialised_entries
-
-        n1, n2 = side.n1, self.candidate_size
-        union = np.empty((len(task.rows), n1 + n2), dtype=np.int64)
-        union[:, :n1] = cache.gather(task.rows)  # materialises from task stream
-        union[:, n1:] = cache.rng.integers(
-            0, self.n_entities, size=(len(task.rows), n2), dtype=np.int64
-        )
-        scores = model.score_candidates(
-            task.anchors, task.relations, union, task.mode
-        )
-        selection = select_cache_survivors(
-            union, scores, n1, self.update_strategy, cache.rng,
-            return_scores=cache.store_scores, return_selection=True,
-        )
-        cache.scatter(
-            task.rows, selection.ids, selection.scores,
-            overlap=selection.cached_overlap(union[:, :n1]),
+        changed = refresh_cache_rows(
+            self.models[int(self.buffer_flag[0])], cache,
+            task.anchors, task.relations, task.rows, task.mode,
+            self.union_buffer(task.mode, len(task.rows)), self.update_strategy, rng,
         )
         spans: tuple[dict[str, Any], ...] = ()
         if tracer is not None:
@@ -283,7 +269,7 @@ class _WorkerState:
         return ShardResult(
             task.mode,
             task.shard,
-            cache.changed_elements - before_changed,
+            changed,
             cache.initialised_entries - before_init,
             n_rows=len(task.rows),
             seconds=time.perf_counter() - started,
@@ -293,25 +279,36 @@ class _WorkerState:
         )
 
 
+def _run_task(state: _WorkerState, task: ShardTask) -> ShardResult | _TaskFailure:
+    """Run one task; an exception comes back as a :class:`_TaskFailure`."""
+    try:
+        return state.run(task)
+    except Exception as exc:  # ship the failure, keep serving
+        # Exception, not BaseException: KeyboardInterrupt/SystemExit
+        # must terminate the worker normally, not masquerade as a
+        # task failure.
+        import traceback
+
+        return _TaskFailure(
+            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+        )
+
+
 def _worker_main(state: _WorkerState, tasks: object, results: object) -> None:
     """Worker process loop: drain tasks until the ``None`` sentinel."""
     while True:
         task = tasks.get()  # type: ignore[attr-defined]
         if task is None:
             return
-        try:
-            results.put(state.run(task))  # type: ignore[attr-defined]
-        except Exception as exc:  # ship the failure, keep serving
-            # Exception, not BaseException: KeyboardInterrupt/SystemExit
-            # must terminate the worker normally, not masquerade as a
-            # task failure.
-            import traceback
+        results.put(_run_task(state, task))  # type: ignore[attr-defined]
 
-            results.put(  # type: ignore[attr-defined]
-                _TaskFailure(
-                    f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-                )
-            )
+
+def _fork_context() -> mp.context.BaseContext:
+    """The ``fork`` start method; ``ValueError`` on platforms without it.
+
+    Tests replace this lookup to run a multi-worker pool inline.
+    """
+    return mp.get_context("fork")
 
 
 class RefreshPool:
@@ -330,9 +327,6 @@ class RefreshPool:
         Worker processes to fork.  Values ``< 2`` mean no processes: the
         pool runs every task inline (the deterministic fallback), as it
         also does when the platform lacks the ``fork`` start method.
-    use_processes:
-        Force the inline fallback with ``False`` (used by the parity
-        tests to pin process execution against in-process execution).
     seed:
         Base entropy for the per-``(mode, shard, epoch, batch)`` task
         streams.
@@ -342,12 +336,6 @@ class RefreshPool:
         while the previous batch's results are still outstanding — the
         overlap mode of :meth:`dispatch`/:meth:`collect`.  Costs one
         extra parameter mirror of memory.
-    dirty_sync:
-        Allow delta-based parameter publishes: once a caller starts
-        reporting touched rows via :meth:`mark_dirty`, each sync ships
-        only the dirty slices.  ``False`` pins the full-copy path (for
-        A/B benchmarking).  Either way the first sync per buffer and
-        un-marked runs take the full copy, so results are identical.
     trace:
         Give every worker its own span :class:`~repro.obs.trace.Tracer`
         (built pre-fork); each task's ``queue_wait``/``shard_task``
@@ -368,9 +356,7 @@ class RefreshPool:
         update_strategy: UpdateStrategy | str,
         seed: int,
         n_workers: int = 1,
-        use_processes: bool = True,
         double_buffer: bool = False,
-        dirty_sync: bool = True,
         trace: bool = False,
     ) -> None:
         if n_workers < 1:
@@ -386,9 +372,7 @@ class RefreshPool:
         self.seed = int(seed)
         self.n_workers = int(n_workers)
         self.n_buffers = 2 if double_buffer else 1
-        self.dirty_sync = bool(dirty_sync)
         self.trace = bool(trace)
-        self._want_processes = bool(use_processes) and self.n_workers >= 2
         #: Per-buffer ``{name: block}`` parameter mirrors (filled by start).
         self._param_blocks: list[dict[str, SharedArrayBlock]] = []
         self._flag_block: SharedArrayBlock | None = None
@@ -449,7 +433,7 @@ class RefreshPool:
             self._trackers.append(DirtyRowTracker(row_counts))
             worker_models.append(worker_model)
 
-        sides: dict[str, _SideState] = {}
+        views: dict[str, ArrayNegativeCache] = {}
         for mode, store in self.caches.items():
             layout = store.worker_layout()
             view = ArrayNegativeCache(
@@ -464,22 +448,21 @@ class RefreshPool:
                 layout["live"],  # type: ignore[arg-type]
                 layout["scores"],  # type: ignore[arg-type]
             )
-            sides[mode] = _SideState(view=view, n1=int(layout["size"]))  # type: ignore[arg-type]
+            views[mode] = view
         self._state = _WorkerState(
             tuple(worker_models),
             self._flag_block.array,
-            sides,
-            self.n_entities,
+            views,
             self.candidate_size,
             self.update_strategy,
             self.seed,
             trace=self.trace,
         )
 
-        if self._want_processes:
+        if self.n_workers >= 2:
             try:
-                ctx = mp.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
+                ctx = _fork_context()
+            except ValueError:  # no fork: run the tasks inline
                 ctx = None
             if ctx is not None:
                 self._tasks = ctx.Queue()
@@ -572,19 +555,18 @@ class RefreshPool:
     def sync_params(self) -> SyncReport:
         """Publish current parameters into the next dispatch's buffer.
 
-        Delta path: with :attr:`dirty_sync` enabled and at least one
-        :meth:`mark_dirty` call ever made, only each table's dirty rows
-        move (``block[rows] = param[rows]``).  Full path — first sync per
-        buffer, tracking disabled, never-marked runs, or tables past the
-        tracker's threshold — is one contiguous ``np.copyto`` per table.
-        Both paths leave identical bytes in the buffer; the returned
-        :class:`SyncReport` says how many actually moved.
+        Delta path: once any :meth:`mark_dirty` call was made, only each
+        table's dirty rows move (``block[rows] = param[rows]``).  Full
+        path — first sync per buffer, never-marked runs, or tables past
+        the tracker's threshold — is one contiguous ``np.copyto`` per
+        table.  Both paths leave identical bytes in the buffer; the
+        returned :class:`SyncReport` says how many actually moved.
         """
         if not self._started:
             self.start()
         blocks = self._param_blocks[self._publish]
         tracker = self._trackers[self._publish]
-        use_deltas = self.dirty_sync and self._armed
+        use_deltas = self._armed
         bytes_copied = rows_copied = full_tables = 0
         total_bytes = 0
         for name, block in blocks.items():
@@ -650,18 +632,7 @@ class RefreshPool:
         self._inflight = len(tasks)
         if not self._processes:
             # Inline fallback: run now, hand back at collect().
-            for task in tasks:
-                try:
-                    self._inline_pending.append(self._state.run(task))
-                except Exception as exc:
-                    import traceback
-
-                    self._inline_pending.append(
-                        _TaskFailure(
-                            f"{type(exc).__name__}: {exc}\n"
-                            f"{traceback.format_exc()}"
-                        )
-                    )
+            self._inline_pending = [_run_task(self._state, t) for t in tasks]
             return len(tasks)
         assert self._tasks is not None
         for task in tasks:
@@ -748,6 +719,5 @@ class RefreshPool:
         mode = "processes" if self.using_processes else "inline"
         return (
             f"RefreshPool(n_workers={self.n_workers}, mode={mode}, "
-            f"n_buffers={self.n_buffers}, dirty_sync={self.dirty_sync}, "
-            f"sides={sorted(self.caches)})"
+            f"n_buffers={self.n_buffers}, sides={sorted(self.caches)})"
         )

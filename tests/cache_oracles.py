@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.nscaching import NSCachingSampler
 from repro.core.strategies import select_cache_survivors
 from repro.data.keyindex import BucketIndex, KeyIndex
+from repro.data.triples import HEAD, REL, TAIL
 from repro.utils.rng import ensure_rng
 
 Key = tuple[int, int]
@@ -379,7 +380,8 @@ class UnfusedRefreshSampler(NSCachingSampler):
             0, self.dataset.n_entities, size=(len(batch), n2), dtype=np.int64
         )
         union = np.concatenate([current, fresh], axis=1)  # [B, N1+N2]
-        scores = self._score_union(batch, union, mode)
+        anchors = batch[:, TAIL] if mode == "head" else batch[:, HEAD]
+        scores = self.model.score_candidates(anchors, batch[:, REL], union, mode)
         new_ids, new_scores = select_cache_survivors(
             union, scores, n1, self.update_strategy, self.rng
         )

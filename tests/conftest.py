@@ -49,3 +49,20 @@ def rng() -> np.random.Generator:
 def small_transe(tiny_kg):
     """A small TransE sized for ``tiny_kg``."""
     return make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Make the refresh pool's ``fork`` lookup fail, as on platforms without it.
+
+    A pool started while this fixture is active falls back to running its
+    tasks inline in the test process, bit-identical to forked workers.
+    Tests that compare both modes request it mid-test with
+    ``request.getfixturevalue("no_fork")`` after their forked arm.
+    """
+    from repro.parallel import pool
+
+    def missing_fork():
+        raise ValueError("cannot find context for 'fork'")
+
+    monkeypatch.setattr(pool, "_fork_context", missing_fork)

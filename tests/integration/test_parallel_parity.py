@@ -6,8 +6,9 @@ Three contracts, end to end through the Trainer:
   bit-identical to heap storage with the same row map (one row per key,
   or ``n_buckets`` bucket rows) — losses, CE series and final parameters;
 * with ``refresh_workers >= 2`` training is deterministic: repeated
-  seeded runs, different worker counts, and the in-process fallback all
-  land on identical parameters and CE series;
+  seeded runs, different worker counts, and the in-process fallback (run
+  under the ``no_fork`` fixture) all land on identical parameters and CE
+  series;
 * the parallel run reports its phases and shard stats through the
   trainer's profiling surface.
 
@@ -15,9 +16,9 @@ The CI ``parallel-parity`` job runs this module with
 ``REPRO_REFRESH_WORKERS=2`` (the default here) so the multiprocess path
 is exercised with real forked workers; a second matrix entry adds
 ``REPRO_REFRESH_OVERLAP=1``, which re-runs every parallel arm through
-the overlapped dispatch/collect pipeline with dirty-row parameter sync
-— by the overlap contract (pre-step snapshots + per-shard streams) all
-determinism assertions must hold unchanged.
+the overlapped dispatch/collect pipeline — by the overlap contract
+(pre-step snapshots + per-shard streams) all determinism assertions
+must hold unchanged.
 """
 
 import multiprocessing as mp
@@ -45,9 +46,8 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def _train(tiny_kg, backend, *, options=None, workers=1, processes=True,
-           epochs=3, profile=False, overlap=None, dirty_sync=True,
-           period=1):
+def _train(tiny_kg, backend, *, options=None, workers=1, epochs=3,
+           profile=False, overlap=None, period=1):
     if overlap is None:
         overlap = OVERLAP and workers >= 2
     model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 16, rng=0)
@@ -57,9 +57,7 @@ def _train(tiny_kg, backend, *, options=None, workers=1, processes=True,
         cache_backend=backend,
         **(options or {}),
         refresh_workers=workers,
-        refresh_processes=processes,
         refresh_overlap=overlap,
-        dirty_sync=dirty_sync,
         refresh_period=period,
     )
     trainer = Trainer(
@@ -149,18 +147,22 @@ class TestParallelDeterminism:
         _assert_same_outcome(*outcomes)
 
     @needs_fork
-    def test_processes_match_inline_fallback(self, tiny_kg):
+    def test_processes_match_inline_fallback(self, tiny_kg, request):
         outcomes = []
         for processes in (True, False):
+            if not processes:
+                request.getfixturevalue("no_fork")  # later pools run inline
             model, history, trainer = _train(
                 tiny_kg, "sharded-array",
-                options={"n_shards": 4}, workers=WORKERS, processes=processes,
+                options={"n_shards": 4}, workers=WORKERS,
             )
             outcomes.append(_outcome(model, history))
             trainer.close()
         _assert_same_outcome(*outcomes)
 
-    def test_inline_parallel_differs_from_sequential_but_trains(self, tiny_kg):
+    def test_inline_parallel_differs_from_sequential_but_trains(
+        self, tiny_kg, no_fork
+    ):
         """Parallel mode is a deterministic *sibling* trajectory, not a
         bit-identical twin of sequential training — but it still trains
         (finite losses, CE within the per-epoch bound)."""
@@ -169,7 +171,7 @@ class TestParallelDeterminism:
         )
         _, history_par, trainer_par = _train(
             tiny_kg, "sharded-array",
-            options={"n_shards": 4}, workers=2, processes=False,
+            options={"n_shards": 4}, workers=2,
         )
         try:
             assert np.isfinite(np.asarray(history_par["loss"].values)).all()
@@ -256,23 +258,23 @@ class TestParallelSurface:
 
 
 class TestOverlapParity:
-    """Overlap + dirty sync: bit-identical to the synchronous pooled path.
+    """Overlap: bit-identical to the synchronous pooled path.
 
     Algorithm 3 only needs pre-step parameters, so dispatching a batch's
     refresh before the gradient/optimizer phases (against the pool's
     double-buffered snapshot) and collecting at the next batch must land
     on exactly the parameters/losses/CE of PR 5's synchronous path —
-    whatever the worker count, sync mode, or execution backend.
+    whatever the worker count, sync path, or execution backend.
     """
 
-    def test_overlap_matches_synchronous_inline(self, tiny_kg):
+    def test_overlap_matches_synchronous_inline(self, tiny_kg, no_fork):
         model_s, history_s, trainer_s = _train(
             tiny_kg, "sharded-array", options={"n_shards": 4},
-            workers=2, processes=False, overlap=False,
+            workers=2, overlap=False,
         )
         model_o, history_o, trainer_o = _train(
             tiny_kg, "sharded-array", options={"n_shards": 4},
-            workers=2, processes=False, overlap=True,
+            workers=2, overlap=True,
         )
         try:
             _assert_same_outcome(
@@ -312,22 +314,30 @@ class TestOverlapParity:
             trainer.close()
         _assert_same_outcome(*outcomes)
 
-    def test_dirty_sync_matches_full_sync(self, tiny_kg):
-        outcomes = []
-        for dirty_sync in (True, False):
+    def test_dirty_sync_matches_full_sync(self, tiny_kg, no_fork, monkeypatch):
+        """Delta syncs land on the trajectory of an un-marked run, whose
+        pool full-copies the parameters on every publish."""
+        outcomes, armed = [], []
+        for marked in (True, False):
+            if not marked:
+                monkeypatch.setattr(
+                    NSCachingSampler, "mark_dirty_params",
+                    lambda self, name, rows: None,
+                )
             model, history, trainer = _train(
                 tiny_kg, "sharded-array", options={"n_shards": 4},
-                workers=2, processes=False, overlap=True,
-                dirty_sync=dirty_sync,
+                workers=2, overlap=True,
             )
             outcomes.append(_outcome(model, history))
+            armed.append(trainer.sampler._pool._armed)
             trainer.close()
         _assert_same_outcome(*outcomes)
+        assert armed == [True, False]
 
-    def test_overlap_profile_reports_its_phase(self, tiny_kg):
+    def test_overlap_profile_reports_its_phase(self, tiny_kg, no_fork):
         model, history, trainer = _train(
             tiny_kg, "sharded-array", options={"n_shards": 4},
-            workers=2, processes=False, overlap=True, profile=True,
+            workers=2, overlap=True, profile=True,
         )
         try:
             report = trainer.profile_report()
@@ -335,7 +345,6 @@ class TestOverlapParity:
             assert report["parallel_refresh"] > 0
             stats = trainer.cache_report()
             assert stats["refresh_overlap"] is True
-            assert stats["dirty_sync"] is True
             assert stats["last_sync_bytes"] > 0
             # On this tiny KG one batch touches most of the entity table,
             # so the tracker rightly collapses to a full copy — the stat
@@ -349,27 +358,27 @@ class TestOverlapParity:
 class TestRefreshPeriod:
     """refresh_period=k: the within-epoch lazy schedule (arXiv 2010.14227)."""
 
-    def test_period_runs_are_reproducible(self, tiny_kg):
+    def test_period_runs_are_reproducible(self, tiny_kg, no_fork):
         runs = []
         for _ in range(2):
             model, history, trainer = _train(
                 tiny_kg, "sharded-array", options={"n_shards": 4},
-                workers=2, processes=False, period=3,
+                workers=2, period=3,
             )
             runs.append(_outcome(model, history))
             trainer.close()
         _assert_same_outcome(*runs)
 
-    def test_period_skips_refreshes(self, tiny_kg):
+    def test_period_skips_refreshes(self, tiny_kg, no_fork):
         """k=3 refreshes a third of the batches: CE must drop, and the
         trajectory must differ from the every-batch schedule."""
         _, history_every, trainer_every = _train(
             tiny_kg, "sharded-array", options={"n_shards": 4},
-            workers=2, processes=False,
+            workers=2,
         )
         _, history_lazy, trainer_lazy = _train(
             tiny_kg, "sharded-array", options={"n_shards": 4},
-            workers=2, processes=False, period=3,
+            workers=2, period=3,
         )
         try:
             every = np.asarray(history_every["cache_changes"].values)
@@ -380,12 +389,12 @@ class TestRefreshPeriod:
             trainer_every.close()
             trainer_lazy.close()
 
-    def test_period_composes_with_overlap(self, tiny_kg):
+    def test_period_composes_with_overlap(self, tiny_kg, no_fork):
         runs = []
         for _ in range(2):
             model, history, trainer = _train(
                 tiny_kg, "sharded-array", options={"n_shards": 4},
-                workers=2, processes=False, period=2, overlap=True,
+                workers=2, period=2, overlap=True,
             )
             runs.append(_outcome(model, history))
             trainer.close()

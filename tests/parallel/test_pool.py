@@ -3,10 +3,12 @@
 The pool's contract is that the *shard*, not the worker, owns the RNG
 stream: results must be identical across worker counts, across repeated
 seeded runs, and between forked-process execution and the in-process
-fallback.
+fallback.  The fallback runs when a pool has one worker, or under the
+``no_fork`` fixture, which hides the ``fork`` start method.
 """
 
 import multiprocessing as mp
+import os
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ def _head_index() -> KeyIndex:
     )
 
 
-def _make_pool(n_workers, use_processes, n_shards=3, seed=7, **pool_kwargs):
+def _make_pool(n_workers, n_shards=3, seed=7, **pool_kwargs):
     model = make_model("DistMult", N_ENTITIES, N_RELATIONS, 6, rng=0)
     caches = {}
     for mode in ("head", "tail"):
@@ -53,7 +55,6 @@ def _make_pool(n_workers, use_processes, n_shards=3, seed=7, **pool_kwargs):
         update_strategy=UpdateStrategy.IMPORTANCE,
         seed=seed,
         n_workers=n_workers,
-        use_processes=use_processes,
         **pool_kwargs,
     )
     return pool, caches
@@ -82,9 +83,9 @@ def _tasks(caches, epoch=0, batch=0):
     return tasks
 
 
-def _run_rounds(n_workers, use_processes, rounds=3):
+def _run_rounds(n_workers, rounds=3):
     """Final cache states + counter totals after a few refresh rounds."""
-    pool, caches = _make_pool(n_workers, use_processes)
+    pool, caches = _make_pool(n_workers)
     try:
         with pool:
             for batch in range(rounds):
@@ -105,31 +106,32 @@ def _run_rounds(n_workers, use_processes, rounds=3):
 
 
 class TestDeterminism:
-    def test_inline_runs_are_reproducible(self):
-        first = _run_rounds(2, use_processes=False)
-        second = _run_rounds(2, use_processes=False)
+    def test_inline_runs_are_reproducible(self, no_fork):
+        first = _run_rounds(2)
+        second = _run_rounds(2)
         for mode in first[0]:
             np.testing.assert_array_equal(first[0][mode], second[0][mode])
         assert first[1] == second[1]
 
     @needs_fork
-    def test_processes_match_inline_fallback(self):
-        inline = _run_rounds(2, use_processes=False)
-        procs = _run_rounds(2, use_processes=True)
+    def test_processes_match_inline_fallback(self, request):
+        procs = _run_rounds(2)
+        request.getfixturevalue("no_fork")  # later pools run inline
+        inline = _run_rounds(2)
         for mode in inline[0]:
             np.testing.assert_array_equal(inline[0][mode], procs[0][mode])
         assert inline[1] == procs[1]
 
     @needs_fork
     def test_results_independent_of_worker_count(self):
-        two = _run_rounds(2, use_processes=True)
-        three = _run_rounds(3, use_processes=True)
+        two = _run_rounds(2)
+        three = _run_rounds(3)
         for mode in two[0]:
             np.testing.assert_array_equal(two[0][mode], three[0][mode])
         assert two[1] == three[1]
 
     def test_distinct_task_keys_draw_distinct_streams(self):
-        pool, caches = _make_pool(1, use_processes=False)
+        pool, caches = _make_pool(1)
         try:
             pool.start()
             state = pool._state
@@ -158,7 +160,7 @@ class TestDeterminism:
 class TestPoolMechanics:
     @needs_fork
     def test_worker_processes_actually_fork(self):
-        pool, caches = _make_pool(2, use_processes=True)
+        pool, caches = _make_pool(2)
         try:
             pool.start()
             assert pool.using_processes
@@ -169,7 +171,7 @@ class TestPoolMechanics:
                 store.close()
 
     def test_single_worker_never_forks(self):
-        pool, caches = _make_pool(1, use_processes=True)
+        pool, caches = _make_pool(1)
         try:
             pool.start()
             assert not pool.using_processes
@@ -178,8 +180,21 @@ class TestPoolMechanics:
             for store in caches.values():
                 store.close()
 
+    def test_missing_fork_falls_back_to_inline(self, no_fork):
+        pool, caches = _make_pool(2)
+        try:
+            pool.start()
+            assert not pool.using_processes
+            results = pool.refresh(_tasks(caches))
+            assert results
+            assert {r.worker_pid for r in results} == {os.getpid()}
+        finally:
+            pool.close()
+            for store in caches.values():
+                store.close()
+
     def test_empty_refresh_is_a_noop(self):
-        pool, caches = _make_pool(1, use_processes=False)
+        pool, caches = _make_pool(1)
         try:
             assert pool.refresh([]) == []
         finally:
@@ -189,7 +204,7 @@ class TestPoolMechanics:
 
     @needs_fork
     def test_worker_failure_surfaces_as_runtime_error(self):
-        pool, caches = _make_pool(2, use_processes=True)
+        pool, caches = _make_pool(2)
         try:
             pool.start()
             bad = ShardTask(
@@ -211,7 +226,7 @@ class TestPoolMechanics:
     def test_partial_failure_drains_sibling_results(self):
         """A failed task among successful siblings must not leave stale
         results queued — the next refresh gets exactly its own answers."""
-        pool, caches = _make_pool(2, use_processes=True)
+        pool, caches = _make_pool(2)
         try:
             pool.start()
             good_tasks = _tasks(caches)
@@ -235,7 +250,7 @@ class TestPoolMechanics:
 
     @needs_fork
     def test_non_finite_scores_surface_with_their_message(self):
-        pool, caches = _make_pool(2, use_processes=True)
+        pool, caches = _make_pool(2)
         try:
             pool.start()
             pool.model.params["entity"][:] = np.nan
@@ -249,8 +264,22 @@ class TestPoolMechanics:
             for store in caches.values():
                 store.close()
 
+    def test_tasks_reuse_one_union_buffer_per_side(self):
+        pool, caches = _make_pool(1)
+        try:
+            pool.refresh(_tasks(caches, batch=0))
+            buffers = dict(pool._state.unions)
+            assert set(buffers) == {"head", "tail"}
+            pool.refresh(_tasks(caches, batch=1))  # same slice sizes
+            for mode, buffer in buffers.items():
+                assert pool._state.unions[mode] is buffer
+        finally:
+            pool.close()
+            for store in caches.values():
+                store.close()
+
     def test_param_sync_ships_current_embeddings(self):
-        pool, caches = _make_pool(1, use_processes=False)
+        pool, caches = _make_pool(1)
         try:
             pool.start()
             pool.model.params["entity"][:] = 123.0
@@ -263,11 +292,10 @@ class TestPoolMechanics:
             for store in caches.values():
                 store.close()
 
-    def test_results_carry_task_telemetry(self):
-        import os
+    def test_results_carry_task_telemetry(self, no_fork):
         import time
 
-        pool, caches = _make_pool(2, use_processes=False)
+        pool, caches = _make_pool(2)
         try:
             tasks = _tasks(caches)
             results = pool.refresh(tasks)
@@ -296,7 +324,7 @@ class TestPoolMechanics:
 
     @needs_fork
     def test_process_results_name_worker_pids(self):
-        pool, caches = _make_pool(2, use_processes=True)
+        pool, caches = _make_pool(2)
         try:
             pool.start()
             worker_pids = {p.pid for p in pool._processes}
@@ -308,12 +336,10 @@ class TestPoolMechanics:
             for store in caches.values():
                 store.close()
 
-    def test_close_drains_uncollected_inflight_refresh(self):
+    def test_close_drains_uncollected_inflight_refresh(self, no_fork):
         """close() over an uncollected dispatch must not wedge the queues:
         the in-flight results are drained (and discarded) first."""
-        pool, caches = _make_pool(
-            2, use_processes=False, double_buffer=True
-        )
+        pool, caches = _make_pool(2, double_buffer=True)
         try:
             pool.start()
             assert pool.dispatch(_tasks(caches)) > 0
@@ -327,7 +353,7 @@ class TestPoolMechanics:
 
     @needs_fork
     def test_close_drains_uncollected_inflight_refresh_with_processes(self):
-        pool, caches = _make_pool(2, use_processes=True, double_buffer=True)
+        pool, caches = _make_pool(2, double_buffer=True)
         try:
             pool.start()
             assert pool.dispatch(_tasks(caches)) > 0
@@ -355,7 +381,7 @@ class TestPoolMechanics:
 
 class TestDirtySync:
     def test_unmarked_sync_takes_the_full_copy_path(self):
-        pool, caches = _make_pool(1, use_processes=False)
+        pool, caches = _make_pool(1)
         try:
             pool.start()
             report = pool.sync_params()
@@ -370,7 +396,7 @@ class TestDirtySync:
                 store.close()
 
     def test_marked_sync_ships_only_dirty_rows(self):
-        pool, caches = _make_pool(1, use_processes=False)
+        pool, caches = _make_pool(1)
         try:
             pool.start()
             pool.sync_params()  # first sync: full copy, tracker drained
@@ -391,14 +417,13 @@ class TestDirtySync:
                 store.close()
 
     def test_delta_and_full_sync_agree_bit_for_bit(self):
-        """The tentpole's agreement contract: after identical mutation +
-        mark sequences, the delta-synced buffer equals the full-copy one."""
+        """The agreement contract: after identical mutation sequences, the
+        delta-synced buffer equals the one an un-marked pool full-copies."""
         pools = {}
         stores = []
         try:
-            for dirty_sync in (True, False):
-                pool, caches = _make_pool(1, use_processes=False,
-                                          dirty_sync=dirty_sync)
+            for marked in (True, False):
+                pool, caches = _make_pool(1)
                 stores.extend(caches.values())
                 pool.start()
                 pool.sync_params()
@@ -406,28 +431,57 @@ class TestDirtySync:
                 for _ in range(5):
                     rows = rng.integers(0, N_ENTITIES, size=6)
                     pool.model.params["entity"][rows] += 0.5
-                    pool.mark_dirty("entity", rows)
                     rel = rng.integers(0, N_RELATIONS, size=2)
                     pool.model.params["relation"][rel] -= 0.25
-                    pool.mark_dirty("relation", rel)
+                    if marked:
+                        pool.mark_dirty("entity", rows)
+                        pool.mark_dirty("relation", rel)
                     pool.sync_params()
-                pools[dirty_sync] = pool
+                pools[marked] = pool
             for name in ("entity", "relation"):
                 np.testing.assert_array_equal(
                     pools[True]._state.models[0].params[name],
                     pools[False]._state.models[0].params[name],
                 )
-            assert pools[True].last_sync.bytes_copied < (
-                pools[False].last_sync.bytes_copied
-            )
+            full = pools[False].last_sync
+            assert full.full_tables == full.n_tables
+            assert pools[True].last_sync.bytes_copied < full.bytes_copied
         finally:
             for pool in pools.values():
                 pool.close()
             for store in stores:
                 store.close()
 
+    def test_batch_realistic_dirty_set_ships_a_tenth_of_the_bytes(self):
+        """Each delta publish of a batch-sized dirty set ships <= 10% of
+        the full-copy bytes (a cache-less pool isolates the publish)."""
+        n_entities, n_relations = 20_000, 16
+        model = make_model("TransE", n_entities, n_relations, 8, rng=0)
+        pool = RefreshPool(
+            model, {}, n_entities=n_entities, candidate_size=1,
+            update_strategy="importance", seed=0,
+        )
+        try:
+            pool.start()
+            pool.sync_params()  # the first publish is a full copy
+            rng = np.random.default_rng(1)
+            for _ in range(5):
+                pool.mark_dirty(
+                    "entity", rng.integers(0, n_entities, size=512)
+                )
+                pool.mark_dirty(
+                    "relation", rng.integers(0, n_relations, size=64)
+                )
+                report = pool.sync_params()
+                assert 0 < report.bytes_copied <= 0.10 * report.total_bytes, (
+                    f"delta sync shipped {report.dirty_fraction:.1%} of the "
+                    "full bytes"
+                )
+        finally:
+            pool.close()
+
     def test_mark_all_dirty_forces_full_copy(self):
-        pool, caches = _make_pool(1, use_processes=False)
+        pool, caches = _make_pool(1)
         try:
             pool.start()
             pool.sync_params()
@@ -446,7 +500,7 @@ class TestDirtySync:
 
     def test_empty_refresh_skips_the_parameter_publish(self):
         """The satellite bugfix: refresh([]) must not pay the memcpy."""
-        pool, caches = _make_pool(1, use_processes=False)
+        pool, caches = _make_pool(1)
         try:
             pool.start()
             pool.sync_params()
@@ -460,7 +514,7 @@ class TestDirtySync:
                 store.close()
 
     def test_dirty_fraction_reflects_pending_marks(self):
-        pool, caches = _make_pool(1, use_processes=False)
+        pool, caches = _make_pool(1)
         try:
             pool.start()
             assert pool.dirty_fraction() == 1.0  # first sync pending
@@ -474,16 +528,14 @@ class TestDirtySync:
                 store.close()
 
 
-def _overlap_rounds(use_processes, overlap, rounds=3, mutate=True):
+def _overlap_rounds(overlap, rounds=3, mutate=True):
     """Cache states after `rounds` refreshes, overlapped or one-shot.
 
     ``mutate`` perturbs the model *after* each dispatch — under overlap
     the tasks must still see the pre-step snapshot, so results have to
     match the synchronous pool that syncs before refreshing.
     """
-    pool, caches = _make_pool(
-        2, use_processes=use_processes, double_buffer=overlap
-    )
+    pool, caches = _make_pool(2, double_buffer=overlap)
     try:
         with pool:
             for batch in range(rounds):
@@ -508,21 +560,22 @@ def _overlap_rounds(use_processes, overlap, rounds=3, mutate=True):
 
 
 class TestOverlap:
-    def test_overlap_matches_one_shot_refresh(self):
-        sync = _overlap_rounds(False, overlap=False)
-        overlapped = _overlap_rounds(False, overlap=True)
+    def test_overlap_matches_one_shot_refresh(self, no_fork):
+        sync = _overlap_rounds(overlap=False)
+        overlapped = _overlap_rounds(overlap=True)
         for mode in sync:
             np.testing.assert_array_equal(sync[mode], overlapped[mode])
 
     @needs_fork
-    def test_overlap_matches_one_shot_refresh_with_processes(self):
-        sync = _overlap_rounds(False, overlap=False)
-        overlapped = _overlap_rounds(True, overlap=True)
+    def test_overlap_matches_one_shot_refresh_with_processes(self, request):
+        overlapped = _overlap_rounds(overlap=True)
+        request.getfixturevalue("no_fork")  # later pools run inline
+        sync = _overlap_rounds(overlap=False)
         for mode in sync:
             np.testing.assert_array_equal(sync[mode], overlapped[mode])
 
-    def test_dispatch_rejects_second_batch_in_flight(self):
-        pool, caches = _make_pool(2, use_processes=False, double_buffer=True)
+    def test_dispatch_rejects_second_batch_in_flight(self, no_fork):
+        pool, caches = _make_pool(2, double_buffer=True)
         try:
             pool.start()
             pool.dispatch(_tasks(caches, batch=0))
@@ -534,8 +587,8 @@ class TestOverlap:
             for store in caches.values():
                 store.close()
 
-    def test_collect_without_dispatch_returns_nothing(self):
-        pool, caches = _make_pool(2, use_processes=False, double_buffer=True)
+    def test_collect_without_dispatch_returns_nothing(self, no_fork):
+        pool, caches = _make_pool(2, double_buffer=True)
         try:
             pool.start()
             assert pool.collect() == []
@@ -544,8 +597,8 @@ class TestOverlap:
             for store in caches.values():
                 store.close()
 
-    def test_empty_dispatch_is_a_noop(self):
-        pool, caches = _make_pool(2, use_processes=False, double_buffer=True)
+    def test_empty_dispatch_is_a_noop(self, no_fork):
+        pool, caches = _make_pool(2, double_buffer=True)
         try:
             pool.start()
             assert pool.dispatch([]) == 0
@@ -556,8 +609,8 @@ class TestOverlap:
             for store in caches.values():
                 store.close()
 
-    def test_double_buffers_alternate(self):
-        pool, caches = _make_pool(2, use_processes=False, double_buffer=True)
+    def test_double_buffers_alternate(self, no_fork):
+        pool, caches = _make_pool(2, double_buffer=True)
         try:
             pool.start()
             flags = []
@@ -578,7 +631,7 @@ class TestOverlap:
         from repro.parallel import pool as pool_module
 
         monkeypatch.setattr(pool_module, "_RESULT_POLL_SECONDS", 0.2)
-        pool, caches = _make_pool(2, use_processes=True, double_buffer=True)
+        pool, caches = _make_pool(2, double_buffer=True)
         try:
             pool.start()
             # Kill the workers first so the dispatched tasks can never be
@@ -601,7 +654,7 @@ class TestOverlap:
         """A _TaskFailure inside an overlapped batch must leave the result
         queue empty: the next dispatch/collect gets exactly its own
         answers."""
-        pool, caches = _make_pool(2, use_processes=True, double_buffer=True)
+        pool, caches = _make_pool(2, double_buffer=True)
         try:
             pool.start()
             bad = ShardTask(

@@ -318,12 +318,20 @@ class TestOverlapRefreshCLI:
 
         args = build_parser().parse_args(
             ["train", "--dataset", "WN18RR", "--model", "TransE",
-             "--refresh-workers", "2", "--refresh-overlap", "--refresh-period", "4", "--no-dirty-sync"]
+             "--refresh-workers", "2", "--refresh-overlap", "--refresh-period", "4"]
         )
         kwargs = _sampler_kwargs(args)
         assert kwargs["refresh_overlap"] is True
         assert kwargs["refresh_period"] == 4
-        assert kwargs["dirty_sync"] is False
+
+    def test_no_dirty_sync_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["train", "--dataset", "WN18RR", "--model", "TransE",
+                 "--refresh-workers", "2", "--no-dirty-sync"]
+            )
+        assert excinfo.value.code == 2
+        assert "--no-dirty-sync" in capsys.readouterr().err
 
     def test_defaults_keep_synchronous_full_sync_semantics(self):
         from repro.cli import _sampler_kwargs
@@ -334,7 +342,7 @@ class TestOverlapRefreshCLI:
         kwargs = _sampler_kwargs(args)
         assert kwargs["refresh_overlap"] is False
         assert kwargs["refresh_period"] == 1
-        assert kwargs["dirty_sync"] is True
+        assert "dirty_sync" not in kwargs
 
     def test_overlap_without_workers_fails_cleanly(self, capsys):
         code = main(
@@ -390,7 +398,6 @@ class TestOverlapRefreshCLI:
         assert "mrr" in out
         assert "refresh_overlap" in out
         assert "refresh_period" in out
-        assert "dirty_sync" in out
 
 
 class TestObservabilityCLI:

@@ -160,6 +160,7 @@ class TestRunLog:
         assert records[-1]["epochs"] == 1
 
 
+@pytest.mark.usefixtures("no_fork")  # inline pool: deterministic, fork-free
 class TestParallelRefreshObservability:
     def _parallel_trainer(self, tiny_kg, path=None, **kwargs):
         sampler = NSCachingSampler(
@@ -168,7 +169,6 @@ class TestParallelRefreshObservability:
             cache_backend="sharded-array",
             n_shards=2,
             refresh_workers=2,
-            refresh_processes=False,  # inline: deterministic, fork-free
         )
         return _trainer(
             tiny_kg,
@@ -251,7 +251,6 @@ class TestParallelRefreshObservability:
             cache_backend="sharded-array",
             n_shards=2,
             refresh_workers=2,
-            refresh_processes=False,
             refresh_overlap=True,
         )
         registry = MetricsRegistry()

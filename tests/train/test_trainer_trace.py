@@ -1,6 +1,7 @@
 """Trainer tracing: bit-identity contract, span coverage, worker merge."""
 
 import numpy as np
+import pytest
 
 from repro.core.nscaching import NSCachingSampler
 from repro.models import make_model
@@ -24,13 +25,13 @@ def _trainer(tiny_kg, *, sampler=None, epochs=2, **kwargs):
 
 
 def _parallel_sampler():
+    """A 2-worker pooled sampler; tests run it under ``no_fork`` (inline)."""
     return NSCachingSampler(
         cache_size=4,
         candidate_size=4,
         cache_backend="sharded-array",
         n_shards=2,
         refresh_workers=2,
-        refresh_processes=False,  # inline: deterministic, fork-free
     )
 
 
@@ -54,7 +55,7 @@ class TestBitIdentity:
             np.testing.assert_array_equal(value, expected[key])
         traced.close()
 
-    def test_traced_parallel_run_bit_identical(self, tiny_kg, tmp_path):
+    def test_traced_parallel_run_bit_identical(self, tiny_kg, tmp_path, no_fork):
         baseline = _trainer(tiny_kg, sampler=_parallel_sampler())
         try:
             baseline.run()
@@ -133,6 +134,7 @@ class TestSequentialTrace:
         validate_chrome_trace(chrome_trace(read_trace(path)))
 
 
+@pytest.mark.usefixtures("no_fork")
 class TestParallelTrace:
     """The cross-process merge, on the deterministic inline pool."""
 
@@ -203,7 +205,7 @@ class TestSamplerTracing:
         assert modes == {"head", "tail"}
         trainer.close()
 
-    def test_pool_inherits_trace_flag(self, tiny_kg):
+    def test_pool_inherits_trace_flag(self, tiny_kg, no_fork):
         tracer = Tracer()
         trainer = _trainer(
             tiny_kg, sampler=_parallel_sampler(), tracer=tracer
@@ -215,7 +217,7 @@ class TestSamplerTracing:
         finally:
             trainer.close()
 
-    def test_untraced_pool_ships_no_spans(self, tiny_kg):
+    def test_untraced_pool_ships_no_spans(self, tiny_kg, no_fork):
         trainer = _trainer(tiny_kg, sampler=_parallel_sampler())
         try:
             trainer.run(1)
@@ -237,7 +239,6 @@ class TestForkedWorkerTrace:
             cache_backend="sharded-array",
             n_shards=2,
             refresh_workers=2,
-            refresh_processes=True,
         )
         trainer = _trainer(tiny_kg, sampler=sampler, trace_out=str(path))
         try:
