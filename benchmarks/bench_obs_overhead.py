@@ -9,8 +9,9 @@ in three configurations:
 1. **off** — no registry attached (the seed configuration);
 2. **on** — a :class:`~repro.obs.registry.MetricsRegistry` attached to
    the sampler, folding per-refresh counters on every batch;
-3. **on + spans** — the same registry plus the trainer-style phase
-   timers wrapped around each update (what ``--metrics-out`` costs).
+3. **on + spans** — the same registry plus a tracer: a trainer-style
+   ``train`` span around each update and the sampler's own refresh
+   spans (what ``--metrics-out`` costs, since it attaches a tracer).
 
 The off/on passes are interleaved (off, on, off, on, ...) so thermal
 drift and allocator state hit both arms equally, and the median pass is
@@ -38,7 +39,7 @@ from repro.bench.tables import format_table
 from repro.core.nscaching import NSCachingSampler
 from repro.data.benchmarks import fb15k_like
 from repro.obs.registry import MetricsRegistry
-from repro.utils.timer import Timer
+from repro.obs.trace import Tracer
 
 SEED = 0
 SCALE = 0.3
@@ -60,15 +61,15 @@ def _make_sampler(dataset, n1, n2):
     return sampler
 
 
-def _one_pass(sampler, dataset, rows, batch_size, *, spans=None):
+def _one_pass(sampler, dataset, rows, batch_size, *, tracer=None):
     """Seconds for one full pass of update() over the training set."""
     n_batches = 0
     start_time = time.perf_counter()
     for start in range(0, len(dataset.train) - batch_size + 1, batch_size):
         indices = np.arange(start, start + batch_size)
         batch = dataset.train[indices]
-        if spans is not None:
-            with spans:
+        if tracer is not None:
+            with tracer.start_span("cache_update", "train"):
                 sampler.update(batch, batch, rows.take(indices))
         else:
             sampler.update(batch, batch, rows.take(indices))
@@ -82,7 +83,7 @@ def run_benchmark(scale=SCALE, batch_size=PAPER_BATCH, n1=PAPER_N1,
     dataset = fb15k_like(seed=SEED, scale=scale)
     batch_size = min(batch_size, len(dataset.train))
     registry = MetricsRegistry()
-    spans = Timer()
+    tracer = Tracer()
 
     arms = {"off": [], "on": [], "on + spans": []}
     sampler = _make_sampler(dataset, n1, n2)
@@ -99,8 +100,10 @@ def run_benchmark(scale=SCALE, batch_size=PAPER_BATCH, n1=PAPER_N1,
             sampler.metrics = registry
             seconds, n = _one_pass(sampler, dataset, rows, batch_size)
             arms["on"].append(n / seconds)
+            sampler.tracer = tracer
             seconds, n = _one_pass(sampler, dataset, rows, batch_size,
-                                   spans=spans)
+                                   tracer=tracer)
+            sampler.tracer = None
             arms["on + spans"].append(n / seconds)
     finally:
         sampler.close()

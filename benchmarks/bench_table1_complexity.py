@@ -11,6 +11,8 @@ extra memory.  Shapes to reproduce:
 * lazy update (n=1) divides NSCaching's refresh cost on off-epochs.
 """
 
+import time
+
 import numpy as np
 
 from repro.bench.harness import build_model
@@ -18,7 +20,6 @@ from repro.bench.tables import format_table
 from repro.core.nscaching import NSCachingSampler
 from repro.data.benchmarks import wn18rr_like
 from repro.sampling import BernoulliSampler, IGANSampler, KBGANSampler
-from repro.utils.timer import Timer
 
 from conftest import BENCH_SEED, run_once
 
@@ -37,13 +38,14 @@ def _time_sampler(make_sampler, dataset, lazy_epoch=0):
     # Warm-up batch excluded from timing (lazy allocations).
     batch = dataset.train[rng.integers(0, len(dataset.train), BATCH_SIZE)]
     sampler.update(batch, sampler.sample(batch))
-    timer = Timer()
+    seconds = 0.0
     for _ in range(BATCHES):
         batch = dataset.train[rng.integers(0, len(dataset.train), BATCH_SIZE)]
-        with timer:
-            negatives = sampler.sample(batch)
-            sampler.update(batch, negatives)
-    per_batch_ms = timer.elapsed / BATCHES * 1000
+        started = time.perf_counter()
+        negatives = sampler.sample(batch)
+        sampler.update(batch, negatives)
+        seconds += time.perf_counter() - started
+    per_batch_ms = seconds / BATCHES * 1000
     extra_params = (
         sampler.generator.n_parameters() if getattr(sampler, "generator", None) else 0
     )

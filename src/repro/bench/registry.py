@@ -162,7 +162,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "Extension: observability overhead on the update() hot loop",
             "update() throughput with metrics off / on / on + phase spans, "
             "interleaved passes; instrumented-on must stay within 3% of off",
-            ("repro.obs.registry", "repro.core.nscaching", "repro.utils.timer"),
+            ("repro.obs.registry", "repro.core.nscaching", "repro.obs.trace"),
             "benchmarks/bench_obs_overhead.py",
         ),
         Experiment(

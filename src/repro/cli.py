@@ -567,6 +567,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         chrome_trace,
         overlap_report,
         read_trace,
+        span_totals,
     )
 
     try:
@@ -611,6 +612,34 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 for row in summary
             ],
             title=f"span summary ({args.trace_file}, {len(records)} spans)",
+        )
+    )
+    # Per name, a span's self time excludes only spans of its own category
+    # nested in it (the rule phase_seconds uses), so "% self" is a share of
+    # the category's self seconds and sums to 100 per category.
+    totals = sorted(
+        span_totals(records).items(), key=lambda kv: (kv[0][0], -kv[1].self_seconds)
+    )
+    category_self: dict[str, float] = {}
+    for (category, _), total in totals:
+        category_self[category] = category_self.get(category, 0.0) + total.self_seconds
+    print(
+        format_table(
+            ("category", "name", "spans", "seconds", "self seconds", "% self"),
+            [
+                (
+                    category or "default",
+                    name,
+                    total.calls,
+                    round(total.seconds, 4),
+                    round(total.self_seconds, 4),
+                    round(100.0 * total.self_seconds / category_self[category], 1)
+                    if category_self[category]
+                    else 0.0,
+                )
+                for (category, name), total in totals
+            ],
+            title="per-name spans (self time within the category)",
         )
     )
     overlap = overlap_report(records)

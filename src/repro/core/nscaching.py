@@ -64,7 +64,6 @@ contrasts with IGAN/KBGAN.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # runtime imports stay lazy to keep repro.parallel optional
@@ -84,13 +83,10 @@ from repro.data.keyindex import TripleKeyIndex
 from repro.data.triples import HEAD, REL, TAIL
 from repro.models.base import CANDIDATE_MODES, KGEModel
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import Span, Tracer
 from repro.sampling.base import NegativeSampler
-from repro.utils.timer import Timer
 
 __all__ = ["BatchRows", "NSCachingSampler"]
-
-_NULL_CONTEXT = nullcontext()
 
 
 class _RefreshMetrics:
@@ -320,17 +316,14 @@ class NSCachingSampler(NegativeSampler):
         self.key_index: TripleKeyIndex | None = None
         self.head_cache: ArrayNegativeCache | None = None
         self.tail_cache: ArrayNegativeCache | None = None
-        #: Optional stopwatch the trainer attaches under ``--profile`` to
-        #: time candidate scoring separately from the rest of the refresh.
-        self.score_timer: Timer | None = None
-        #: Optional stopwatch for the parallel-refresh dispatch+wait (the
-        #: trainer's ``parallel_refresh`` profile phase).
-        self.parallel_timer: Timer | None = None
-        #: Optional span tracer the trainer attaches (``--trace-out``).
-        #: Refreshes then record ``refresh_side``/``dispatch``/``collect``
-        #: spans, and the pooled refresh merges the workers' shipped spans
-        #: into this ring.  ``None`` (the default) keeps the exact seed
-        #: code path.  Attach before the first parallel update(): workers
+        #: Optional span tracer the trainer attaches (``--profile``,
+        #: ``--metrics-out``, ``--trace-out``).  Refreshes then record
+        #: ``refresh_side``/``dispatch``/``collect`` spans plus the
+        #: trainer's ``train`` phases ``score_candidates`` (the scoring
+        #: step alone) and ``parallel_refresh`` (the pooled dispatch+wait),
+        #: and the pooled refresh merges the workers' shipped spans into
+        #: this ring.  ``None`` (the default) keeps the exact seed code
+        #: path.  Attach before the first parallel update(): workers
         #: inherit their rings at fork.
         self.tracer: Tracer | None = None
         self._metrics: MetricsRegistry | None = None
@@ -547,15 +540,20 @@ class NSCachingSampler(NegativeSampler):
 
         :func:`~repro.core.strategies.refresh_cache_rows` on the
         sampler's own stream, assembling in the persistent union buffer;
-        the ``--profile`` scoring stopwatch times its scoring step.
+        with a tracer, a ``score_candidates`` span times its scoring step.
         """
         assert self.head_cache is not None and self.tail_cache is not None
         cache = self.head_cache if mode == "head" else self.tail_cache
         anchors = batch[:, TAIL] if mode == "head" else batch[:, HEAD]
+        tracer = self.tracer
         ce = refresh_cache_rows(
             self.model, cache, anchors, batch[:, REL], rows, mode,
             self._union_buffer(len(batch)), self.update_strategy, self.rng,
-            score_context=self.score_timer,
+            score_context=(
+                tracer.start_span("score_candidates", "train")
+                if tracer is not None
+                else None
+            ),
         )
         if self._mh is not None:
             self._observe_refresh(mode, len(batch), ce)
@@ -690,26 +688,25 @@ class NSCachingSampler(NegativeSampler):
         """
         pool = self._ensure_pool()
         self.collect_refreshes()  # at most one batch in flight
-        timer = self.parallel_timer
         tracer = self.tracer
-        span = (
-            tracer.start_span(
-                "dispatch" if self.refresh_overlap else "refresh",
-                "refresh",
-                args={"batch": batch_index},
+        spans: tuple[Span, ...] = ()
+        if tracer is not None:
+            spans = (
+                tracer.start_span(
+                    "dispatch" if self.refresh_overlap else "refresh",
+                    "refresh",
+                    args={"batch": batch_index},
+                ),
+                tracer.start_span("parallel_refresh", "train"),
             )
-            if tracer is not None
-            else None
-        )
-        with timer if timer is not None else _NULL_CONTEXT:
-            tasks = self._build_tasks(batch, rows, modes, batch_index)
-            if self.refresh_overlap:
-                if pool.dispatch(tasks):
-                    self._pending_modes = modes
-                results = None
-            else:
-                results = pool.refresh(tasks)
-        if span is not None:
+        tasks = self._build_tasks(batch, rows, modes, batch_index)
+        if self.refresh_overlap:
+            if pool.dispatch(tasks):
+                self._pending_modes = modes
+            results = None
+        else:
+            results = pool.refresh(tasks)
+        for span in reversed(spans):
             span.end()
         if tasks and self._mh is not None and pool.last_sync is not None:
             self._observe_sync(pool.last_sync)

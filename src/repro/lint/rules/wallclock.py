@@ -4,8 +4,8 @@ Kernel modules (``models/*``, ``core/*``) are the code whose outputs
 must be bit-identical under a seed and whose phase costs the profiler
 attributes exactly.  A stray ``time.time()`` / ``time.perf_counter()``
 there either leaks timing into logic or double-counts a phase that the
-sanctioned :class:`repro.utils.timer.Timer` (and the obs phase spans
-built on it) already measures.  Timing belongs to the orchestration
+sanctioned :mod:`repro.obs.trace` spans (the trainer's one stopwatch)
+already measure.  Timing belongs to the orchestration
 layers — trainer, pool, eval drivers — or to an explicitly pragma'd
 telemetry site.  Importing :mod:`repro.obs.clock` into a kernel is the
 same violation with a detour, so that import is banned there too.
@@ -52,7 +52,7 @@ class KernelWallClockRule(Rule):
             yield from self._clock_reads(
                 ctx,
                 "read inside a kernel module; kernels must stay "
-                "clock-free (profile via repro.utils.timer.Timer in the "
+                "clock-free (profile via repro.obs.trace spans in the "
                 "orchestration layer, or pragma a telemetry-only site "
                 "with a reason)",
             )

@@ -15,8 +15,9 @@ reproduction without touching its semantics:
   ``repro metrics``.
 * :mod:`~repro.obs.trace` — disabled-by-default span tracing with
   cross-process collection (forked refresh workers ship spans back on
-  their results), Chrome trace-event export and the ``repro trace``
-  summary analysis; all clock reads route through
+  their results), running per-name totals (the trainer's phase
+  seconds), Chrome trace-event export and the ``repro trace`` summary
+  analysis; all clock reads route through
   :mod:`~repro.obs.clock`, the single sanctioned reader RPL005 enforces.
 """
 
@@ -40,11 +41,13 @@ from repro.obs.runlog import (
 from repro.obs.summary import epoch_rows, phase_totals, run_overview
 from repro.obs.trace import (
     Span,
+    SpanTotal,
     Tracer,
     category_summary,
     chrome_trace,
     overlap_report,
     read_trace,
+    span_totals,
     validate_chrome_trace,
     write_trace,
 )
@@ -61,6 +64,7 @@ __all__ = [
     "RunLogWriter",
     "Sample",
     "Span",
+    "SpanTotal",
     "Tracer",
     "category_summary",
     "chrome_trace",
@@ -71,6 +75,7 @@ __all__ = [
     "read_run_log_lenient",
     "read_trace",
     "run_overview",
+    "span_totals",
     "validate_chrome_trace",
     "validate_record",
     "write_trace",

@@ -24,11 +24,21 @@ spans.  The design constraints mirror the registry's:
 Finished spans serialise as run-log ``span`` records (JSONL, one per
 line — :func:`write_trace` / :func:`read_trace`) and export as Chrome
 trace-event JSON (:func:`chrome_trace`), loadable in Perfetto or
-``chrome://tracing``.  :func:`category_summary` and
-:func:`overlap_report` are the analysis behind ``repro trace summary``:
-per-category totals with self-time (child spans carved out of their
-parents) and the fraction of worker refresh time hidden behind the
-trainer's gradient/optimizer phases.
+``chrome://tracing``.  :func:`category_summary`, :func:`span_totals`
+and :func:`overlap_report` are the analysis behind ``repro trace
+summary``: per-category totals with self-time (child spans carved out of
+their parents), per-``(category, name)`` totals, and the fraction of
+worker refresh time hidden behind the trainer's gradient/optimizer
+phases.
+
+A tracer is also the trainer's stopwatch.  It keeps running
+per-``(category, name)`` totals (:meth:`Tracer.totals`: calls, seconds,
+self seconds), updated as each span ends or is ingested, so they stay
+exact after the ring wraps.  Self time follows one nesting rule: a
+span's duration is charged to the nearest open span of the *same
+category* on the same thread.  The ``train`` phases therefore form one
+tree whose self times partition the hot loop, and ``refresh`` spans
+running inside ``cache_update`` do not split it.
 """
 
 from __future__ import annotations
@@ -37,13 +47,14 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.obs import clock
 from repro.obs.runlog import RUN_LOG_VERSION, RunLogError, read_run_log, validate_record
 
 __all__ = [
     "Span",
+    "SpanTotal",
     "Tracer",
     "chrome_trace",
     "validate_chrome_trace",
@@ -51,6 +62,7 @@ __all__ = [
     "read_trace",
     "category_summary",
     "overlap_report",
+    "span_totals",
 ]
 
 #: Default ring capacity: ~2 spans per update() at paper batch sizes keeps
@@ -66,12 +78,18 @@ class Span:
 
     Usable both explicitly (``span = tracer.start_span(...); ...;
     span.end()`` — the shape the trainer's phase plumbing needs) and as a
-    context manager (``with tracer.start_span(...):``).  ``end`` is
+    context manager (``with tracer.start_span(...):``).  Entering restarts
+    the clock, so a span can be made ahead of the block it times and
+    handed down as a context (the sampler passes one to
+    :func:`~repro.core.strategies.refresh_cache_rows`).  ``end`` is
     idempotent: the first call stamps the duration and records the span,
     later calls return the same duration.
     """
 
-    __slots__ = ("name", "category", "start", "duration", "pid", "tid", "args", "_tracer")
+    __slots__ = (
+        "name", "category", "start", "duration", "pid", "tid", "args",
+        "_tracer", "_parent", "_nested",
+    )
 
     def __init__(
         self,
@@ -91,6 +109,10 @@ class Span:
         self.tid = tid
         self.args = args
         self._tracer = tracer
+        #: The enclosing open span of the same category on this thread.
+        self._parent: Span | None = None
+        #: Seconds of same-category spans that ended inside this one.
+        self._nested = 0.0
 
     def end(self) -> float:
         """Stamp the duration, record the span, return the duration."""
@@ -98,10 +120,11 @@ class Span:
             self.duration = clock.monotonic() - self.start
             tracer, self._tracer = self._tracer, None
             if tracer is not None:
-                tracer._record(self)
+                tracer._close(self)
         return self.duration
 
     def __enter__(self) -> "Span":
+        self.start = clock.monotonic()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -128,13 +151,22 @@ class Span:
         return f"Span({self.name!r}, cat={self.category!r}, {state})"
 
 
+class SpanTotal(NamedTuple):
+    """Running totals of one ``(category, name)``."""
+
+    calls: int
+    seconds: float
+    self_seconds: float
+
+
 class Tracer:
-    """A preallocated ring buffer of finished spans.
+    """A preallocated ring buffer of finished spans, plus running totals.
 
     ``capacity`` bounds memory up front; once full, the oldest span is
     overwritten and :attr:`dropped` counts the loss (a truncated-head
     timeline is still a valid timeline — the alternative, unbounded
-    growth, is not an option inside forked workers).  Thread-safe on the
+    growth, is not an option inside forked workers).  The per-name
+    totals of :meth:`totals` never drop anything.  Thread-safe on the
     recording side: the serve handler traces from worker threads.
     """
 
@@ -146,6 +178,10 @@ class Tracer:
         self._next = 0
         self._count = 0
         self._lock = threading.Lock()
+        #: Innermost open span per (thread, category): the nesting stack's top.
+        self._open: dict[tuple[int, str], Span] = {}
+        #: (category, name) -> [calls, seconds, self seconds].
+        self._totals: dict[tuple[str, str], list[float]] = {}
         #: Spans overwritten because the ring was full.
         self.dropped = 0
 
@@ -156,17 +192,27 @@ class Tracer:
         args: Mapping[str, Any] | None = None,
     ) -> Span:
         """An open span starting now; finish it with ``end()``/``with``."""
-        return Span(
-            name,
-            category,
-            clock.monotonic(),
-            os.getpid(),
-            threading.get_native_id(),
-            args,
-            self,
-        )
+        tid = threading.get_native_id()
+        span = Span(name, category, clock.monotonic(), os.getpid(), tid, args, self)
+        key = (tid, category)
+        span._parent = self._open.get(key)
+        self._open[key] = span
+        return span
 
-    def _record(self, span: Span) -> None:
+    def _close(self, span: Span) -> None:
+        """Pop an ended span off its nesting stack and record it."""
+        key = (span.tid, span.category)
+        parent, span._parent = span._parent, None
+        if self._open.get(key) is span:
+            if parent is None:
+                del self._open[key]
+            else:
+                self._open[key] = parent
+        if parent is not None:
+            parent._nested += span.duration
+        self._record(span, span.duration - span._nested)
+
+    def _record(self, span: Span, self_seconds: float) -> None:
         with self._lock:
             if self._count == self.capacity:
                 self.dropped += 1
@@ -174,16 +220,25 @@ class Tracer:
                 self._count += 1
             self._ring[self._next] = span
             self._next = (self._next + 1) % self.capacity
+            total = self._totals.get((span.category, span.name))
+            if total is None:
+                total = self._totals[(span.category, span.name)] = [0, 0.0, 0.0]
+            total[0] += 1
+            total[1] += span.duration
+            total[2] += self_seconds
 
     def ingest(self, records: Iterable[Mapping[str, Any]]) -> int:
         """Fold already-finished span records into the ring.
 
         The cross-process merge: refresh workers drain their local rings
         into ``ShardResult.spans`` and the parent's sampler calls this.
-        Returns the number of spans folded in.
+        Self time nests within the ingested batch only.  Returns the
+        number of spans folded in.
         """
-        n = 0
-        for record in records:
+        batch = list(records)
+        for record, self_seconds in zip(
+            batch, _self_seconds(batch, by_category=True)
+        ):
             span = Span(
                 str(record["name"]),
                 str(record.get("cat", "")),
@@ -194,12 +249,23 @@ class Tracer:
                 None,
             )
             span.duration = float(record["dur"])
-            self._record(span)
-            n += 1
-        return n
+            self._record(span, self_seconds)
+        return len(batch)
 
     def __len__(self) -> int:
         return self._count
+
+    def totals(self) -> dict[tuple[str, str], SpanTotal]:
+        """Every ``(category, name)``'s calls, seconds and self seconds.
+
+        Counts every span that ended or was ingested since construction,
+        including those the ring has since dropped.
+        """
+        with self._lock:
+            return {
+                key: SpanTotal(int(calls), seconds, self_seconds)
+                for key, (calls, seconds, self_seconds) in self._totals.items()
+            }
 
     def records(self) -> list[dict[str, Any]]:
         """Finished spans as record dicts, oldest first (ring preserved)."""
@@ -354,12 +420,42 @@ def category_summary(
     ]
 
 
-def _self_seconds(records: Sequence[Mapping[str, Any]]) -> list[float]:
-    """Each record's duration minus its direct children's, input order."""
+def span_totals(
+    records: Sequence[Mapping[str, Any]],
+) -> dict[tuple[str, str], SpanTotal]:
+    """Per-``(category, name)`` calls, seconds and self seconds.
+
+    The offline twin of :meth:`Tracer.totals`, with the same nesting
+    rule: a span's duration is carved out of the nearest enclosing span
+    of its own category on its thread.  Within one category the self
+    seconds partition that category's outermost spans.
+    """
+    totals: dict[tuple[str, str], SpanTotal] = {}
+    for record, self_dur in zip(records, _self_seconds(records, by_category=True)):
+        key = (str(record.get("cat", "")), str(record["name"]))
+        calls, seconds, self_seconds = totals.get(key, (0, 0.0, 0.0))
+        totals[key] = SpanTotal(
+            calls + 1, seconds + float(record["dur"]), self_seconds + self_dur
+        )
+    return totals
+
+
+def _self_seconds(
+    records: Sequence[Mapping[str, Any]], *, by_category: bool = False
+) -> list[float]:
+    """Each record's duration minus its direct children's, input order.
+
+    Children nest on the same pid/tid, and with ``by_category`` also in
+    the same category only.
+    """
     self_dur = [float(r["dur"]) for r in records]
-    by_thread: dict[tuple[int, int], list[int]] = {}
+    by_thread: dict[tuple[object, ...], list[int]] = {}
     for i, record in enumerate(records):
-        key = (int(record.get("pid", 0)), int(record.get("tid", 0)))
+        key: tuple[object, ...] = (
+            int(record.get("pid", 0)), int(record.get("tid", 0))
+        )
+        if by_category:
+            key += (record.get("cat", ""),)
         by_thread.setdefault(key, []).append(i)
     for indices in by_thread.values():
         # Sort by start, longest first on ties, and keep a stack of the

@@ -57,7 +57,8 @@ class EvalCallback(Callback):
 
     Produces the series behind Figures 2-5: ``metric`` and ``hits@k``
     against both epoch number and accumulated *training* seconds (the
-    trainer's clock is paused while this callback evaluates).
+    trainer's clock only runs inside epochs, so evaluation between them
+    is excluded).
 
     With ``num_negatives`` set, evaluation uses the sampled protocol
     (:func:`repro.eval.sampled.sampled_link_prediction`) — O(K) per query
@@ -116,8 +117,7 @@ class EvalCallback(Callback):
 
     def on_epoch_end(self, trainer: "Trainer", epoch: int, stats: dict) -> None:
         if (epoch + 1) % self.every == 0 or epoch + 1 == trainer.config.epochs:
-            with trainer.paused_clock():
-                metrics = self._record(trainer, epoch)
+            metrics = self._record(trainer, epoch)
             stats.update({f"{self.split}_{k}": v for k, v in metrics.items()})
 
     def on_train_end(self, trainer: "Trainer") -> None:
@@ -130,8 +130,7 @@ class EvalCallback(Callback):
         last = trainer.epochs_run - 1
         if self.epochs and self.epochs[-1] == last:
             return
-        with trainer.paused_clock():
-            self._record(trainer, last)
+        self._record(trainer, last)
 
     def latest(self, key: str = "mrr") -> float:
         """Most recent value of a metric (NaN if never evaluated)."""
@@ -183,7 +182,7 @@ class RunLogCallback(Callback):
     """Stream one run-log record per epoch to a JSONL file.
 
     Epoch records combine three sources: the trainer's aggregate stats
-    (loss, NZL, gradient norm, wall seconds), the phase stopwatches
+    (loss, NZL, gradient norm, wall seconds), the phase span self times
     (reported as per-epoch deltas of the disjoint partition), and — when
     a registry is attached — deltas of the sampler's refresh counters
     (churn, refreshed rows, scored candidates, per-shard task timings).

@@ -9,41 +9,39 @@ changed-elements (Figure 8) and the repeat ratio of sampled negatives
 
 Two hot-path amenities: samplers that expose ``precompute_rows`` (the
 NSCaching array cache) get the whole split's cache-row indices resolved
-once at construction and sliced per batch, and ``profile=True`` times the
-per-phase breakdown (sample / score / cache-update / score-candidates /
-gradients / optimizer) so speedups are measurable from the CLI.  The
-``score_candidates`` phase is the model's scoring of the Alg. 3 candidate
-union: it runs *inside* the sampler's ``update()`` (the trainer attaches a
-stopwatch to samplers that expose a ``score_timer`` slot), and the report
-subtracts it from ``cache_update`` so the phases partition the hot loop
-and sum to its wall time.
+once at construction and sliced per batch, and ``profile=True`` reports
+the per-phase breakdown (sample / score / cache-update /
+score-candidates / gradients / optimizer) so speedups are measurable
+from the CLI.
 
-Observability: pass ``metrics`` (a
-:class:`~repro.obs.registry.MetricsRegistry`) and/or ``metrics_out`` (a
-JSONL run-log path) to instrument the run.  Either one turns the phase
-stopwatches into obs spans (the same timers ``--profile`` uses), attaches
-the registry to samplers that accept one (per-refresh cache-health
-counters), mirrors per-epoch loss/NZL/grad-norm/throughput and cumulative
-phase seconds into the registry, and — with ``metrics_out`` — streams one
-:mod:`repro.obs.runlog` record per epoch for ``repro metrics`` to
-summarise.  With neither, every instrumentation site is a ``None`` check:
-training is bit-identical to the uninstrumented loop under a fixed seed.
+Spans are the one stopwatch.  ``profile``, ``metrics`` (a
+:class:`~repro.obs.registry.MetricsRegistry`), ``metrics_out`` (a JSONL
+run-log path), ``tracer`` (a :class:`~repro.obs.trace.Tracer`) and
+``trace_out`` (a JSONL trace path) each attach a tracer: every profile
+phase and epoch becomes a ``train`` span, and samplers with a ``tracer``
+slot record their refresh spans into the same ring, including the
+``score_candidates`` scoring of the Alg. 3 candidate union and the
+``parallel_refresh`` dispatch+wait, both nested inside ``cache_update``.
+:meth:`Trainer.phase_seconds` reads each phase's ``train`` self time
+from the tracer's running totals, so the phases partition the hot loop
+and sum to at most its wall time.  The pooled refresh merges spans
+shipped back from forked workers, so one timeline covers dispatch →
+gradients/optimizer → collect across processes; with ``trace_out``,
+``close()`` writes it for ``repro trace`` (summary, Chrome export).
 
-Tracing: pass ``tracer`` (a :class:`~repro.obs.trace.Tracer`) and/or
-``trace_out`` (a JSONL trace path) to record a span timeline — every
-profile phase and epoch becomes a span, samplers with a ``tracer`` slot
-record their refresh/dispatch/collect spans into the same ring, and the
-pooled refresh merges spans shipped back from forked workers, so one
-timeline covers dispatch → gradients/optimizer → collect across
-processes.  ``close()`` writes the merged trace for ``repro trace``
-(summary, Chrome export).  Same contract as metrics: ``tracer=None``
-(the default) is bit-identical to the seed loop.
+``metrics`` / ``metrics_out`` also attach the registry to samplers that
+accept one (per-refresh cache-health counters), mirror per-epoch
+loss/NZL/grad-norm/throughput and cumulative phase seconds into it, and
+— with ``metrics_out`` — stream one :mod:`repro.obs.runlog` record per
+epoch for ``repro metrics`` to summarise.  With none of the five, every
+instrumentation site is a ``None`` check: training is bit-identical to
+the uninstrumented loop under a fixed seed.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-from typing import ContextManager, Iterator, Sequence
+from contextlib import nullcontext
+from typing import ContextManager, Sequence
 
 import numpy as np
 
@@ -53,14 +51,14 @@ from repro.data.triples import HEAD, REL, TAIL
 from repro.models.base import KGEModel
 from repro.models.losses import LogisticLoss, Loss, MarginRankingLoss
 from repro.models.regularizers import L2Regularizer
+from repro.obs import clock
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runlog import RunLogWriter
-from repro.obs.trace import Span, Tracer, write_trace
+from repro.obs.trace import SpanTotal, Tracer, write_trace
 from repro.optim import make_optimizer
 from repro.sampling.base import NegativeSampler
 from repro.train.config import TrainConfig
 from repro.utils.rng import spawn_rngs
-from repro.utils.timer import Timer
 
 __all__ = ["Trainer", "TrainingHistory"]
 
@@ -89,42 +87,13 @@ class TrainingHistory:
         return self.series[name].last()
 
 
-class _TracedPhase:
-    """Span + optional stopwatch around one hot-loop phase.
-
-    A dedicated slotted context manager (not ``@contextmanager``) keeps
-    the per-phase cost at two clock reads when tracing is on — the X11
-    overhead budget is measured through this path.
-    """
-
-    __slots__ = ("tracer", "name", "timer", "_span")
-
-    def __init__(self, tracer: Tracer, name: str, timer: Timer | None) -> None:
-        self.tracer = tracer
-        self.name = name
-        self.timer = timer
-        self._span: Span | None = None
-
-    def __enter__(self) -> "_TracedPhase":
-        self._span = self.tracer.start_span(self.name, "train")
-        if self.timer is not None:
-            self.timer.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self.timer is not None:
-            self.timer.stop()
-        if self._span is not None:
-            self._span.end()
-
-
 class Trainer:
     """Runs the KG-embedding training loop for any sampler/model pair."""
 
     #: Phase names reported by the profiler, in hot-loop order.
     #: ``score_candidates`` and ``parallel_refresh`` nest inside
     #: ``cache_update`` (candidate scoring of the sequential refresh, and
-    #: dispatch+wait of the pooled refresh); the report makes them
+    #: dispatch+wait of the pooled refresh); self time makes them
     #: disjoint.  ``refresh_overlap`` is the wait for an overlapped
     #: refresh at the top of the next batch — time the refresh pipeline
     #: failed to hide behind the gradients/optimizer phases (0 when the
@@ -157,17 +126,15 @@ class Trainer:
         if metrics is None and metrics_out is not None:
             metrics = MetricsRegistry()  # the run log needs instruments
         self.metrics = metrics
-        if tracer is None and trace_out is not None:
-            tracer = Tracer()  # the trace file needs a ring to drain
+        if tracer is None and (
+            self.profile or metrics is not None or trace_out is not None
+        ):
+            # Phase seconds, the run log and the trace file all read spans.
+            # With no instrumentation, _phase() hands back a no-op context —
+            # the seed hot loop, bit for bit.
+            tracer = Tracer()
         self.tracer = tracer
         self._trace_out = trace_out
-        # Phase stopwatches double as obs spans: they run under --profile
-        # *or* whenever a registry is attached.  With neither, _phase()
-        # hands back a no-op context — the seed hot loop, bit for bit.
-        self._timed = self.profile or metrics is not None
-        self.phase_timers: dict[str, Timer] = {
-            name: Timer() for name in self.PROFILE_PHASES
-        }
         self._run_log: RunLogWriter | None = None
         if metrics_out is not None:
             from repro.train.callbacks import RunLogCallback
@@ -179,28 +146,16 @@ class Trainer:
         self._rng = rng_batches
         self.sampler.bind(model, dataset, rng_sampler)
 
-        # Samplers that score a candidate union inside update() expose a
-        # ``score_timer`` slot; when timing, the trainer plugs its own
-        # phase stopwatch in so that cost is reported as its own phase.
-        # Assigned unconditionally so a sampler handed to a new trainer
-        # stops feeding a previous trainer's timer.
-        if hasattr(self.sampler, "score_timer"):
-            self.sampler.score_timer = (
-                self.phase_timers["score_candidates"] if self._timed else None
-            )
-        # Same deal for the pooled-refresh stopwatch: the dispatch+wait of
-        # a parallel cache refresh is reported as its own phase.
-        if hasattr(self.sampler, "parallel_timer"):
-            self.sampler.parallel_timer = (
-                self.phase_timers["parallel_refresh"] if self._timed else None
-            )
         # Samplers with a ``metrics`` slot report cache health (refresh
         # rows, churn, per-shard task timings) into the shared registry.
         if hasattr(self.sampler, "metrics"):
             self.sampler.metrics = metrics
         # Samplers with a ``tracer`` slot record refresh spans into the
         # trainer's ring (and merge their forked workers' spans into it),
-        # so one timeline covers the whole pipeline.  Must happen before
+        # so one timeline covers the whole pipeline; their
+        # ``score_candidates`` and ``parallel_refresh`` spans are phases.
+        # Assigned unconditionally so a sampler handed to a new trainer
+        # stops feeding a previous trainer's tracer.  Must happen before
         # the first update(): refresh workers inherit tracing at fork.
         if hasattr(self.sampler, "tracer"):
             self.sampler.tracer = tracer
@@ -234,7 +189,9 @@ class Trainer:
         self.negative_tracker = (
             NegativeTracker() if self.config.track_negatives else None
         )
-        self._timer = Timer()
+        #: Accumulated training wall time: the sum of ``epoch_seconds``.
+        self.train_seconds = 0.0
+        self._epoch = 0
         self._stop = False
         self.epochs_run = 0
 
@@ -247,61 +204,33 @@ class Trainer:
             return MarginRankingLoss(self.config.margin)
         return LogisticLoss()
 
-    # -- clock --------------------------------------------------------------------
-    @property
-    def train_seconds(self) -> float:
-        """Accumulated training wall time, excluding paused (eval) periods."""
-        return self._timer.elapsed
-
-    @contextmanager
-    def paused_clock(self) -> Iterator[None]:
-        """Suspend the training clock (used by evaluation callbacks)."""
-        was_running = self._timer.running
-        if was_running:
-            self._timer.stop()
-        try:
-            yield
-        finally:
-            if was_running:
-                self._timer.start()
-
     def request_stop(self) -> None:
         """Ask the training loop to stop after the current epoch."""
         self._stop = True
 
     # -- profiling / observability ---------------------------------------------
     def _phase(self, name: str) -> ContextManager[object]:
-        """The phase's timer/span when instrumented, else a no-op.
-
-        Three shapes: a tracer attached wraps the phase in a span (plus
-        the stopwatch when timing is also on); timing alone hands back
-        the stopwatch; neither hands back a no-op context — the seed hot
-        loop, bit for bit.
-        """
+        """The phase's ``train`` span when a tracer is attached, else a
+        no-op context — the seed hot loop, bit for bit."""
         if self.tracer is not None:
-            return _TracedPhase(
-                self.tracer, name,
-                self.phase_timers[name] if self._timed else None,
-            )
-        return self.phase_timers[name] if self._timed else nullcontext()
+            return self.tracer.start_span(name, "train")
+        return nullcontext()
 
     def phase_seconds(self) -> dict[str, float]:
         """Accumulated seconds per hot-loop phase, made disjoint.
 
-        ``score_candidates`` and ``parallel_refresh`` run nested inside
-        the sampler's ``update()``, so their time is carved out of
-        ``cache_update`` here — the phases partition the hot loop and sum
-        to its wall time.  All zeros when neither ``--profile`` nor a
-        metrics registry enabled the stopwatches.
+        Each phase's ``train`` self time: ``score_candidates`` and
+        ``parallel_refresh`` run nested inside the sampler's
+        ``update()``, so their spans are carved out of ``cache_update``'s
+        — the phases partition the hot loop and sum to at most its wall
+        time.  All zeros when no tracer is attached.
         """
-        report = {name: timer.elapsed for name, timer in self.phase_timers.items()}
-        report["cache_update"] = max(
-            0.0,
-            report["cache_update"]
-            - report["score_candidates"]
-            - report["parallel_refresh"],
-        )
-        return report
+        totals = self.tracer.totals() if self.tracer is not None else {}
+        zero = SpanTotal(0, 0.0, 0.0)
+        return {
+            name: totals.get(("train", name), zero).self_seconds
+            for name in self.PROFILE_PHASES
+        }
 
     def profile_report(self) -> dict[str, float]:
         """The disjoint phase breakdown (empty unless ``profile=True``)."""
@@ -314,8 +243,8 @@ class Trainer:
 
         Runs once per epoch (never per batch), before the callbacks fire,
         so exporters observe a consistent post-epoch view.  Cumulative
-        phase seconds are mirrored with ``set_total`` — the stopwatches
-        stay the single source of truth.
+        phase seconds are mirrored with ``set_total`` — the spans stay
+        the single source of truth.
         """
         registry = self.metrics
         assert registry is not None
@@ -403,6 +332,7 @@ class Trainer:
             if self.config.shuffle
             else np.arange(len(train))
         )
+        self._epoch = epoch
         self.sampler.on_epoch_start(epoch)
 
         losses: list[float] = []
@@ -413,28 +343,29 @@ class Trainer:
             if self.tracer is not None
             else None
         )
-        epoch_timer = Timer()
+        started = clock.perf_counter()
         try:
-            with epoch_timer, self._timer:
-                for start in range(0, len(train), self.config.batch_size):
-                    indices = order[start : start + self.config.batch_size]
-                    batch = train[indices]
-                    rows = (
-                        self._train_rows.take(indices)
-                        if self._train_rows is not None
-                        else None
-                    )
-                    batch_stats = self.train_batch(batch, rows)
-                    losses.append(batch_stats["loss"])
-                    nzl_values.append(batch_stats["nzl"])
-                    grad_norms.append(batch_stats["grad_norm"])
-                # The last batch's overlapped refresh is still in flight:
-                # wait for it inside the epoch clock so epoch_seconds stays
-                # honest about the full refresh cost.
-                if self._collect_refreshes is not None:
-                    with self._phase("refresh_overlap"):
-                        self._collect_refreshes()
+            for start in range(0, len(train), self.config.batch_size):
+                indices = order[start : start + self.config.batch_size]
+                batch = train[indices]
+                rows = (
+                    self._train_rows.take(indices)
+                    if self._train_rows is not None
+                    else None
+                )
+                batch_stats = self.train_batch(batch, rows)
+                losses.append(batch_stats["loss"])
+                nzl_values.append(batch_stats["nzl"])
+                grad_norms.append(batch_stats["grad_norm"])
+            # The last batch's overlapped refresh is still in flight: wait
+            # for it inside the epoch clock so epoch_seconds stays honest
+            # about the full refresh cost.
+            if self._collect_refreshes is not None:
+                with self._phase("refresh_overlap"):
+                    self._collect_refreshes()
         finally:
+            epoch_seconds = clock.perf_counter() - started
+            self.train_seconds += epoch_seconds
             if epoch_span is not None:
                 epoch_span.end()
 
@@ -442,7 +373,7 @@ class Trainer:
             "loss": float(np.mean(losses)) if losses else 0.0,
             "nzl": float(np.mean(nzl_values)) if nzl_values else 0.0,
             "grad_norm": float(np.mean(grad_norms)) if grad_norms else 0.0,
-            "epoch_seconds": epoch_timer.elapsed,
+            "epoch_seconds": epoch_seconds,
         }
         if self.negative_tracker is not None:
             stats["repeat_ratio"] = self.negative_tracker.repeat_ratio()
@@ -456,7 +387,9 @@ class Trainer:
         """Algorithm 2 steps 4-9 for one mini-batch.
 
         ``rows`` carries precomputed cache-row indices for row-indexed
-        samplers (sliced from the split-wide precomputation).
+        samplers (sliced from the split-wide precomputation).  Raises
+        :class:`FloatingPointError` when the batch's loss is not finite,
+        before the caches or the embeddings are touched.
         """
         # Collect the previous batch's overlapped refresh before touching
         # the caches; whatever wait is left is overlap the step failed to
@@ -479,6 +412,13 @@ class Trainer:
             neg_scores = self.model.score_triples(negatives)
             loss_values = self.loss.value(pos_scores, neg_scores)
             d_pos, d_neg = self.loss.score_grads(pos_scores, neg_scores)
+        loss = float(np.mean(loss_values))
+        if not np.isfinite(loss):
+            raise FloatingPointError(
+                f"non-finite loss ({loss}) in epoch {self._epoch}: the "
+                "embeddings hold NaN/inf or the learning rate diverged; "
+                "stopping the run"
+            )
 
         # Alg. 2 step 8: the cache refresh precedes the embedding update.
         with self._phase("cache_update"):
@@ -515,7 +455,7 @@ class Trainer:
                         self._dirty_mark(name, touched)
 
         return {
-            "loss": float(np.mean(loss_values)),
+            "loss": loss,
             "nzl": self.loss.nonzero_ratio(pos_scores, neg_scores),
             "grad_norm": grad_norm,
         }

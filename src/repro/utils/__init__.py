@@ -1,4 +1,4 @@
-"""Shared utilities: RNG handling, timing, validation, CPU counting and
+"""Shared utilities: RNG handling, validation, CPU counting and
 lightweight logging.
 
 These helpers are intentionally tiny and dependency-free.  Every stochastic
@@ -10,7 +10,6 @@ experiments reproducible from a single integer seed.
 from repro.utils.cpus import usable_cpu_count
 from repro.utils.logging import get_logger
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_positive,
     check_probability,
@@ -19,7 +18,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Timer",
     "check_positive",
     "check_probability",
     "check_shape",

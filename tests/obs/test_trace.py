@@ -6,14 +6,17 @@ import threading
 
 import pytest
 
+from repro.obs import clock
 from repro.obs.runlog import RUN_LOG_VERSION, RunLogError, RunLogWriter
 from repro.obs.trace import (
     Span,
+    SpanTotal,
     Tracer,
     category_summary,
     chrome_trace,
     overlap_report,
     read_trace,
+    span_totals,
     validate_chrome_trace,
     write_trace,
 )
@@ -117,6 +120,129 @@ class TestTracerRing:
             t.join()
         assert len(tracer) == n_threads * per_thread
         assert tracer.dropped == 0
+
+
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """Make every clock read return the next scripted time."""
+
+    def script(*times):
+        reads = iter(times)
+        monkeypatch.setattr(clock, "monotonic", lambda: next(reads))
+
+    return script
+
+
+class TestTracerTotals:
+    def test_same_category_nesting_charges_the_nearest_open_span(self, fake_clock):
+        # epoch [0, 10] > cache_update [1, 6] > refresh_side [1.5, 5.5]
+        # > score_candidates [2, 4]; then gradients [6.5, 8.5] in epoch.
+        fake_clock(0.0, 1.0, 1.5, 2.0, 4.0, 5.5, 6.0, 6.5, 8.5, 10.0)
+        tracer = Tracer(capacity=16)
+        epoch = tracer.start_span("epoch", "train")
+        update = tracer.start_span("cache_update", "train")
+        side = tracer.start_span("refresh_side", "refresh")
+        tracer.start_span("score_candidates", "train").end()
+        side.end()
+        update.end()
+        tracer.start_span("gradients", "train").end()
+        epoch.end()
+        assert tracer.totals() == {
+            ("train", "epoch"): SpanTotal(1, 10.0, 3.0),
+            ("train", "cache_update"): SpanTotal(1, 5.0, 3.0),
+            ("train", "score_candidates"): SpanTotal(1, 2.0, 2.0),
+            ("train", "gradients"): SpanTotal(1, 2.0, 2.0),
+            ("refresh", "refresh_side"): SpanTotal(1, 4.0, 4.0),
+        }
+
+    def test_offline_totals_match_live_totals(self, fake_clock):
+        fake_clock(0.0, 1.0, 1.5, 2.0, 4.0, 5.5, 6.0, 6.5, 8.5, 10.0)
+        tracer = Tracer(capacity=16)
+        epoch = tracer.start_span("epoch", "train")
+        update = tracer.start_span("cache_update", "train")
+        side = tracer.start_span("refresh_side", "refresh")
+        tracer.start_span("score_candidates", "train").end()
+        side.end()
+        update.end()
+        tracer.start_span("gradients", "train").end()
+        epoch.end()
+        assert span_totals(tracer.records()) == tracer.totals()
+
+    def test_totals_survive_ring_overflow(self):
+        tracer = Tracer(capacity=2)
+        for _ in range(5):
+            tracer.start_span("step", "train").end()
+        assert tracer.dropped == 3
+        assert len(tracer.records()) == 2
+        total = tracer.totals()[("train", "step")]
+        assert total.calls == 5
+        assert total.self_seconds == total.seconds
+
+    def test_entering_restarts_the_clock(self, fake_clock):
+        fake_clock(0.0, 3.0, 4.0)
+        tracer = Tracer(capacity=4)
+        span = tracer.start_span("score_candidates", "train")
+        with span:  # entered at 3.0, ended at 4.0
+            pass
+        assert span.duration == 1.0
+        assert tracer.totals()[("train", "score_candidates")].seconds == 1.0
+
+    def test_other_threads_never_nest(self):
+        tracer = Tracer(capacity=8)
+        outer = tracer.start_span("outer", "c")
+        worker = threading.Thread(
+            target=lambda: tracer.start_span("inner", "c").end()
+        )
+        worker.start()
+        worker.join()
+        outer.end()
+        total = tracer.totals()[("c", "outer")]
+        assert total.self_seconds == total.seconds
+        assert tracer.totals()[("c", "inner")].calls == 1
+
+    def test_concurrent_nesting_stays_per_thread(self):
+        """Threads share one tracer: each thread's spans nest only in its
+        own open spans, and no total loses an update."""
+        import sys
+
+        tracer = Tracer(capacity=64)
+        n_threads, per_thread = 8, 200
+
+        def work():
+            for _ in range(per_thread):
+                outer = tracer.start_span("outer", "c")
+                tracer.start_span("inner", "c").end()
+                outer.end()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        totals = tracer.totals()
+        outer, inner = totals[("c", "outer")], totals[("c", "inner")]
+        assert outer.calls == inner.calls == n_threads * per_thread
+        assert inner.self_seconds == pytest.approx(inner.seconds)
+        assert outer.self_seconds == pytest.approx(outer.seconds - inner.seconds)
+        assert tracer._open == {}
+
+    def test_ingest_nests_within_the_batch(self):
+        tracer = Tracer(capacity=8)
+        tracer.ingest((
+            _span_record(name="shard_task", cat="w", ts=0.0, dur=5.0),
+            _span_record(name="select", cat="w", ts=1.0, dur=2.0),
+            _span_record(name="other_cat", cat="x", ts=3.5, dur=1.0),
+        ))
+        totals = tracer.totals()
+        assert totals[("w", "shard_task")] == SpanTotal(1, 5.0, 3.0)
+        assert totals[("w", "select")] == SpanTotal(1, 2.0, 2.0)
+        assert totals[("x", "other_cat")] == SpanTotal(1, 1.0, 1.0)
 
 
 class TestTraceFiles:

@@ -689,6 +689,49 @@ class TestTraceCLI:
         assert rows == {"core": 40.0, "optim": 30.0, "models": 20.0, "train": 10.0}
         assert sum(rows.values()) == pytest.approx(100.0)
 
+    def test_summary_per_name_table_reports_self_time(self, tmp_path, capsys):
+        from repro.obs.runlog import RUN_LOG_VERSION
+        from repro.obs.trace import write_trace
+
+        def span(name, cat, ts, dur, tid=1):
+            return {"type": "span", "version": RUN_LOG_VERSION, "name": name,
+                    "cat": cat, "ts": ts, "dur": dur, "pid": 1, "tid": tid}
+
+        # epoch 10s > cache_update 5s > refresh_side 4s > score_candidates
+        # 2s, then gradients 2s inside epoch; a sample span on another
+        # thread nests in nothing.  Per name, a span loses only nested
+        # spans of its own category: score_candidates comes out of
+        # cache_update (through the refresh span), not out of
+        # refresh_side.
+        path = write_trace(tmp_path / "nested.jsonl", [
+            span("epoch", "train", 0.0, 10.0),
+            span("cache_update", "train", 1.0, 5.0),
+            span("refresh_side", "refresh", 1.5, 4.0),
+            span("score_candidates", "train", 2.0, 2.0),
+            span("gradients", "train", 6.5, 2.0),
+            span("sample", "train", 2.5, 1.0, tid=2),
+        ])
+        assert main(["trace", "summary", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "per-name spans" in out
+        rows = {}
+        for line in out.splitlines():
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            if len(cells) == 6 and cells[0] in {"train", "refresh"}:
+                rows[(cells[0], cells[1])] = (
+                    int(cells[2]), float(cells[3]), float(cells[4]), float(cells[5])
+                )
+        # train self seconds: epoch 3, cache_update 3, score_candidates 2,
+        # gradients 2, sample 1 -> 11s, the "% self" base of the category.
+        assert rows == {
+            ("train", "epoch"): (1, 10.0, 3.0, pytest.approx(27.3)),
+            ("train", "cache_update"): (1, 5.0, 3.0, pytest.approx(27.3)),
+            ("train", "score_candidates"): (1, 2.0, 2.0, pytest.approx(18.2)),
+            ("train", "gradients"): (1, 2.0, 2.0, pytest.approx(18.2)),
+            ("train", "sample"): (1, 1.0, 1.0, pytest.approx(9.1)),
+            ("refresh", "refresh_side"): (1, 4.0, 4.0, 100.0),
+        }
+
     def test_trace_missing_file_fails_cleanly(self, capsys):
         assert main(["trace", "summary", "/nonexistent/t.jsonl"]) == 2
         assert "cannot read trace" in capsys.readouterr().err

@@ -185,9 +185,9 @@ class TestParallelRefreshObservability:
             trainer.run()
             report = trainer.profile_report()
             assert report["parallel_refresh"] > 0
-            # Inline pool execution: the nested scoring happens inside the
-            # pool's own timer, so cache_update is carved down by it.
-            raw = trainer.phase_timers["cache_update"].elapsed
+            # Both nested train phases are carved out of cache_update's
+            # inclusive span total.
+            raw = trainer.tracer.totals()[("train", "cache_update")].seconds
             assert report["cache_update"] == pytest.approx(
                 max(
                     0.0,
@@ -264,3 +264,33 @@ class TestParallelRefreshObservability:
         # counters must flow exactly as in the synchronous pooled mode.
         assert registry.value("refresh_overlap_wait_seconds_total") > 0
         assert registry.value("param_sync_bytes_total") > 0
+
+
+class TestForkedPoolPhases:
+    """The phase partition on the forked pool: the workers' own spans are
+    ingested into the trainer's tracer, and must not enter the phases."""
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["sync", "overlap"])
+    def test_forked_pool_phases_partition_the_hot_loop(self, tiny_kg, overlap):
+        sampler = NSCachingSampler(
+            cache_size=4,
+            candidate_size=4,
+            n_shards=2,
+            refresh_workers=2,
+            refresh_overlap=overlap,
+        )
+        trainer = _trainer(tiny_kg, sampler=sampler, profile=True, epochs=3)
+        try:
+            trainer.run()
+            assert sampler._pool is not None and sampler._pool.using_processes
+            report = trainer.profile_report()
+            assert report["parallel_refresh"] > 0
+            raw = trainer.tracer.totals()[("train", "cache_update")].seconds
+            assert report["cache_update"] == pytest.approx(
+                raw - report["score_candidates"] - report["parallel_refresh"]
+            )
+            total, wall = sum(report.values()), trainer.train_seconds
+            assert total <= wall
+            assert total >= 0.5 * wall, (report, wall)
+        finally:
+            trainer.close()

@@ -6,7 +6,9 @@ import pytest
 from repro.core.nscaching import NSCachingSampler
 from repro.models import make_model
 from repro.models.losses import LogisticLoss, MarginRankingLoss
+from repro.obs.trace import Tracer
 from repro.sampling import BernoulliSampler, UniformSampler
+from repro.train.callbacks import EvalCallback
 from repro.train.config import TrainConfig
 from repro.train.trainer import Trainer
 
@@ -142,15 +144,38 @@ class TestTraining:
         trainer.run()
         assert trainer.train_seconds > 0
 
-    def test_paused_clock_excludes_time(self, tiny_kg):
+    def test_train_clock_sums_epochs_and_excludes_evaluation(
+        self, tiny_kg, monkeypatch
+    ):
         import time
 
-        trainer = _trainer(tiny_kg, epochs=1)
-        trainer.run()
-        before = trainer.train_seconds
-        with trainer.paused_clock():
-            time.sleep(0.02)
-        assert trainer.train_seconds == pytest.approx(before, abs=5e-3)
+        import repro.train.callbacks as callbacks
+
+        evaluate = callbacks.evaluate
+        pause = 0.05
+
+        def slow_evaluate(*args, **kwargs):
+            time.sleep(pause)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(callbacks, "evaluate", slow_evaluate)
+        model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
+        evaluator = EvalCallback(every=1)
+        trainer = Trainer(
+            model, tiny_kg, BernoulliSampler(),
+            TrainConfig(epochs=3, batch_size=64), callbacks=[evaluator],
+        )
+        started = time.perf_counter()
+        history = trainer.run()
+        wall = time.perf_counter() - started
+
+        _, epoch_seconds = history["epoch_seconds"].as_arrays()
+        assert trainer.train_seconds == pytest.approx(float(epoch_seconds.sum()))
+        # Each evaluation saw the clock at the end of its epoch ...
+        assert evaluator.times == pytest.approx(np.cumsum(epoch_seconds).tolist())
+        # ... and none of the three sleeps was counted.
+        assert len(evaluator.epochs) == 3
+        assert trainer.train_seconds <= wall - 3 * pause
 
 
 class TestProfiling:
@@ -158,7 +183,8 @@ class TestProfiling:
         trainer = _trainer(tiny_kg)
         trainer.run()
         assert trainer.profile_report() == {}
-        assert all(t.elapsed == 0.0 for t in trainer.phase_timers.values())
+        assert trainer.tracer is None
+        assert set(trainer.phase_seconds().values()) == {0.0}
 
     def test_profile_records_all_phases(self, tiny_kg):
         model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
@@ -226,7 +252,7 @@ class TestProfiling:
         )
         trainer.run()
         report = trainer.profile_report()
-        raw_update = trainer.phase_timers["cache_update"].elapsed
+        raw_update = trainer.tracer.totals()[("train", "cache_update")].seconds
         assert report["cache_update"] == pytest.approx(
             raw_update - report["score_candidates"]
         )
@@ -246,7 +272,7 @@ class TestProfiling:
         Trainer(
             model2, tiny_kg, sampler, TrainConfig(epochs=1, batch_size=64)
         ).run()
-        assert sampler.score_timer is None
+        assert sampler.tracer is None
         assert profiled.profile_report()["score_candidates"] == recorded
 
     def test_profile_score_candidates_zero_for_stateless_sampler(self, tiny_kg):
@@ -258,6 +284,30 @@ class TestProfiling:
         trainer.run()
         assert trainer.profile_report()["score_candidates"] == 0.0
 
+    def test_profile_totals_survive_ring_overflow(self, tiny_kg):
+        """Phase seconds come from running totals, not from the span ring:
+        a ring far too small for the run still counts every batch."""
+        model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
+        tracer = Tracer(capacity=4)
+        epochs, batch_size = 2, 64
+        trainer = Trainer(
+            model, tiny_kg, NSCachingSampler(cache_size=4, candidate_size=4),
+            TrainConfig(epochs=epochs, batch_size=batch_size),
+            profile=True, tracer=tracer,
+        )
+        trainer.run()
+        n_batches = epochs * -(-len(tiny_kg.train) // batch_size)
+        assert tracer.dropped > 0
+        totals = tracer.totals()
+        assert totals[("train", "sample")].calls == n_batches
+        assert totals[("train", "score_candidates")].calls == 2 * n_batches
+        report = trainer.profile_report()
+        assert set(report) == set(Trainer.PROFILE_PHASES)
+        total, wall = sum(report.values()), trainer.train_seconds
+        assert total <= wall
+        assert total >= 0.5 * wall, (report, wall)
+
+
     def test_profile_does_not_change_results(self, tiny_kg):
         plain = _trainer(tiny_kg, epochs=3).run()
         model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
@@ -266,6 +316,35 @@ class TestProfiling:
             TrainConfig(epochs=3, batch_size=64), profile=True,
         ).run()
         np.testing.assert_allclose(plain["loss"].values, profiled["loss"].values)
+
+
+class TestNonFiniteLoss:
+    """A NaN loss stops the run on the batch that produced it."""
+
+    @pytest.mark.parametrize(
+        "make_sampler",
+        [BernoulliSampler, lambda: NSCachingSampler(cache_size=4, candidate_size=4)],
+        ids=["Bernoulli", "NSCaching"],
+    )
+    def test_nan_params_raise_on_first_batch(self, tiny_kg, make_sampler):
+        model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
+        trainer = Trainer(
+            model, tiny_kg, make_sampler(), TrainConfig(epochs=2, batch_size=64)
+        )
+        for name in model.entity_params:
+            model.params[name][:] = np.nan
+        calls = []
+        train_batch = trainer.train_batch
+
+        def counted(batch, rows=None):
+            calls.append(len(batch))
+            return train_batch(batch, rows)
+
+        trainer.train_batch = counted
+        with pytest.raises(FloatingPointError, match="non-finite loss .* epoch 0"):
+            trainer.run()
+        assert len(calls) == 1
+        assert trainer.epochs_run == 0
 
 
 class TestPrecomputedRows:

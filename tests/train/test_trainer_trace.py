@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.nscaching import NSCachingSampler
 from repro.models import make_model
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer, chrome_trace, read_trace, validate_chrome_trace
 from repro.train.config import TrainConfig
 from repro.train.trainer import Trainer
@@ -75,11 +76,64 @@ class TestBitIdentity:
         finally:
             traced.close()
 
+    def test_profiled_run_bit_identical_to_plain(self, tiny_kg):
+        baseline = _trainer(tiny_kg)
+        baseline.run()
+        expected = _params(baseline)
+        baseline.close()
+
+        profiled = _trainer(tiny_kg, profile=True)
+        profiled.run()
+        for key, value in _params(profiled).items():
+            np.testing.assert_array_equal(value, expected[key])
+        profiled.close()
+
+    def test_profiled_parallel_run_bit_identical(self, tiny_kg, no_fork):
+        baseline = _trainer(tiny_kg, sampler=_parallel_sampler())
+        try:
+            baseline.run()
+            expected = _params(baseline)
+        finally:
+            baseline.close()
+
+        profiled = _trainer(tiny_kg, sampler=_parallel_sampler(), profile=True)
+        try:
+            profiled.run()
+            for key, value in _params(profiled).items():
+                np.testing.assert_array_equal(value, expected[key])
+        finally:
+            profiled.close()
+
     def test_no_tracer_by_default(self, tiny_kg):
         trainer = _trainer(tiny_kg)
         assert trainer.tracer is None
         assert trainer.sampler.tracer is None
         trainer.close()
+
+
+class TestInstrumentationAttachesTracer:
+    """Every instrumentation option times the phases through one tracer."""
+
+    @pytest.mark.parametrize(
+        "option", ["profile", "metrics", "metrics_out", "trace_out"]
+    )
+    def test_each_option_attaches_one_tracer(self, tiny_kg, tmp_path, option):
+        value = {
+            "profile": True,
+            "metrics": MetricsRegistry(),
+            "metrics_out": str(tmp_path / "run.jsonl"),
+            "trace_out": str(tmp_path / "trace.jsonl"),
+        }[option]
+        trainer = _trainer(tiny_kg, **{option: value})
+        try:
+            assert trainer.tracer is not None
+            assert trainer.sampler.tracer is trainer.tracer
+            trainer.run(1)
+            phases = trainer.phase_seconds()
+            assert phases["score_candidates"] > 0
+            assert phases["cache_update"] > 0
+        finally:
+            trainer.close()
 
 
 class TestSequentialTrace:
