@@ -85,8 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--refresh-workers", type=_positive_int, default=1, metavar="W",
         help="worker processes for cache refreshes (>= 2 implies shared "
-             "cache storage); 1 keeps the sequential refresh, bit-identical "
-             "across cache layouts",
+             "cache storage and runs each batch's refresh behind its "
+             "gradient/optimizer step); 1 keeps the sequential refresh, "
+             "bit-identical across cache layouts",
     )
     train.add_argument(
         "--refresh-period", type=_positive_int, default=1, metavar="K",
@@ -94,13 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
              "= every batch); the lazy within-epoch schedule — divides "
              "refresh and parameter-sync cost by K while caches go at "
              "most K-1 batches stale",
-    )
-    train.add_argument(
-        "--refresh-overlap", action="store_true",
-        help="overlap the pooled cache refresh with the gradient/optimizer "
-             "step (dispatch against a double-buffered pre-step parameter "
-             "snapshot, collect at the next batch); requires "
-             "--refresh-workers >= 2, results stay bit-identical",
     )
     train.add_argument(
         "--profile", action="store_true",
@@ -263,7 +257,6 @@ def _sampler_kwargs(args: argparse.Namespace) -> dict[str, object]:
             "n_shards": args.n_shards,
             "refresh_workers": args.refresh_workers,
             "refresh_period": args.refresh_period,
-            "refresh_overlap": args.refresh_overlap,
         }
         return kwargs
     if args.sampler in ("KBGAN", "SelfAdv"):
@@ -296,13 +289,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
         args.refresh_workers != 1
         or args.n_shards is not None
         or args.refresh_period != 1
-        or args.refresh_overlap
     ):
         # Args-only check: fail loudly (and before any data/model work)
         # rather than silently training single-process.
         print(
-            "error: --refresh-workers/--n-shards/--refresh-period/"
-            "--refresh-overlap only apply to the NSCaching sampler, got "
+            "error: --refresh-workers/--n-shards/--refresh-period only "
+            "apply to the NSCaching sampler, got "
             f"--sampler {args.sampler}",
             file=sys.stderr,
         )

@@ -49,7 +49,10 @@ slice is refreshed by a worker process against shared-memory storage,
 through the same ``refresh_cache_rows`` but drawing from its own
 ``(seed, mode, shard, epoch, batch)`` stream — deterministic and
 worker-count-independent, though a different (equally valid) trajectory
-than the sequential single-stream path.
+than the sequential single-stream path.  The pooled refresh always runs
+behind the training step: ``update()`` dispatches against a pre-step
+parameter snapshot, and the results are collected before the caches are
+next read.
 
 Batching note: the paper updates caches triple-by-triple; this
 implementation vectorises over the batch.  When two rows of one batch share
@@ -208,7 +211,7 @@ class NSCachingSampler(NegativeSampler):
         n_shards: int | None = None,
         refresh_workers: int = 1,
         refresh_period: int = 1,
-        refresh_overlap: bool = False,
+        refresh_overlap: bool | None = None,
     ) -> None:
         """
         Parameters
@@ -248,6 +251,12 @@ class NSCachingSampler(NegativeSampler):
             batch)`` stream, so results are deterministic and independent
             of the worker count — but a *different* (equally valid)
             trajectory than the sequential single-stream path.  The
+            pooled refresh overlaps the training step: :meth:`update`
+            dispatches the batch against a pre-step parameter snapshot
+            (Alg. 3 only needs pre-step parameters) and the results are
+            collected at the next :meth:`sample`, :meth:`update`,
+            :meth:`changed_elements`, :meth:`close` or
+            :meth:`collect_refreshes` call.  The
             default ``1`` keeps the sequential refresh, bit-identical
             across layouts under a fixed seed.  Without the ``fork``
             start method the pool runs its tasks inline, bit-identical.
@@ -261,14 +270,10 @@ class NSCachingSampler(NegativeSampler):
             batch counter still advances on skipped batches, so the
             parallel task streams stay aligned across periods.
         refresh_overlap:
-            Overlap the parallel refresh with the training step: the
-            batch's shard tasks are *dispatched* against a pre-step
-            parameter snapshot (double-buffered in the pool) and the
-            results collected at the start of the next batch — Alg. 3
-            only needs pre-step parameters, so the refresh runs for free
-            behind the gradients/optimizer phases.  Results stay
-            bit-identical to the synchronous parallel path.  Requires
-            ``refresh_workers >= 2``.
+            Optional consistency check, not a selector: the pooled
+            refresh always overlaps and the sequential one never does.
+            ``True`` requires ``refresh_workers >= 2``; ``False`` with
+            ``refresh_workers >= 2`` raises ``ValueError``.
         """
         super().__init__(bernoulli=bernoulli)
         if cache_size <= 0 or candidate_size <= 0:
@@ -288,6 +293,11 @@ class NSCachingSampler(NegativeSampler):
             raise ValueError(
                 "refresh_overlap requires refresh_workers >= 2 (the overlap "
                 "dispatch/collect pipeline only exists on the pooled path)"
+            )
+        if refresh_overlap is False and refresh_workers > 1:
+            raise ValueError(
+                "refresh_overlap=False contradicts refresh_workers >= 2: "
+                "the pooled refresh always overlaps"
             )
         n_buckets = layout_count("n_buckets", n_buckets)
         n_shards = layout_count("n_shards", n_shards)
@@ -312,7 +322,6 @@ class NSCachingSampler(NegativeSampler):
         self.n_shards = n_shards
         self.refresh_workers = int(refresh_workers)
         self.refresh_period = int(refresh_period)
-        self.refresh_overlap = bool(refresh_overlap)
         self.key_index: TripleKeyIndex | None = None
         self.head_cache: ArrayNegativeCache | None = None
         self.tail_cache: ArrayNegativeCache | None = None
@@ -332,7 +341,7 @@ class NSCachingSampler(NegativeSampler):
         self._pool: RefreshPool | None = None  # created on first parallel update
         self._pool_seed: int | None = None
         self._epoch_batch = 0  # per-epoch update counter for task streams
-        #: Modes of the in-flight overlapped dispatch (None = nothing pending).
+        #: Modes of the in-flight dispatch (None = nothing pending).
         self._pending_modes: tuple[str, ...] | None = None
 
     # -- lifecycle ------------------------------------------------------------
@@ -378,7 +387,7 @@ class NSCachingSampler(NegativeSampler):
         """Stop the refresh pool and release shared-memory cache storage.
 
         Idempotent; the sampler can be re-bound afterwards.  The trainer
-        and CLI call this when training finishes.  An overlapped refresh
+        and CLI call this when training finishes.  A pooled refresh
         still in flight is collected (so its counter deltas are not
         lost) before the pool shuts down; a failed/dead pool is closed
         regardless.
@@ -590,7 +599,6 @@ class NSCachingSampler(NegativeSampler):
                 update_strategy=self.update_strategy,
                 seed=self._pool_seed,
                 n_workers=self.refresh_workers,
-                double_buffer=self.refresh_overlap,
                 trace=self.tracer is not None,
             ).start()
         return self._pool
@@ -607,9 +615,9 @@ class NSCachingSampler(NegativeSampler):
             self._pool.mark_dirty(name, rows)
 
     def collect_refreshes(self) -> None:
-        """Fold in an overlapped refresh dispatched by a previous update().
+        """Fold in the pooled refresh dispatched by a previous update().
 
-        The collect half of the overlap pipeline: blocks until the
+        The collect half of the pooled refresh: blocks until the
         in-flight batch's workers finish (usually they already have — the
         gradient/optimizer step ran in between) and folds their counter
         deltas into the stores.  A no-op when nothing is pending, so the
@@ -681,10 +689,10 @@ class NSCachingSampler(NegativeSampler):
         Workers run the same fused kernel against the shared storage and
         report CE / initialisation deltas, which are folded back into the
         caches' counters so ``changed_elements()`` and Figure 8 stay
-        layout-agnostic.  With :attr:`refresh_overlap` only the dispatch
-        half runs here — the tasks execute against the pre-step parameter
-        snapshot while the trainer computes the step, and
-        :meth:`collect_refreshes` folds the results in later.
+        layout-agnostic.  Only the dispatch half runs here — the tasks
+        execute against the pre-step parameter snapshot while the trainer
+        computes the step, and :meth:`collect_refreshes` folds the
+        results in later.
         """
         pool = self._ensure_pool()
         self.collect_refreshes()  # at most one batch in flight
@@ -692,26 +700,16 @@ class NSCachingSampler(NegativeSampler):
         spans: tuple[Span, ...] = ()
         if tracer is not None:
             spans = (
-                tracer.start_span(
-                    "dispatch" if self.refresh_overlap else "refresh",
-                    "refresh",
-                    args={"batch": batch_index},
-                ),
+                tracer.start_span("dispatch", "refresh", args={"batch": batch_index}),
                 tracer.start_span("parallel_refresh", "train"),
             )
         tasks = self._build_tasks(batch, rows, modes, batch_index)
-        if self.refresh_overlap:
-            if pool.dispatch(tasks):
-                self._pending_modes = modes
-            results = None
-        else:
-            results = pool.refresh(tasks)
+        if pool.dispatch(tasks):
+            self._pending_modes = modes
         for span in reversed(spans):
             span.end()
         if tasks and self._mh is not None and pool.last_sync is not None:
             self._observe_sync(pool.last_sync)
-        if results is not None:
-            self._fold_results(results, modes)
 
     def _observe_sync(self, report: SyncReport) -> None:
         """Fold one parameter publish's SyncReport into the registry."""
@@ -803,7 +801,6 @@ class NSCachingSampler(NegativeSampler):
             stats["refresh_period"] = self.refresh_period
         if self.refresh_workers > 1:
             stats["refresh_workers"] = self.refresh_workers
-            stats["refresh_overlap"] = self.refresh_overlap
             if self._pool is not None:
                 stats["refresh_mode"] = (
                     "processes" if self._pool.using_processes else "inline"
@@ -828,7 +825,6 @@ class NSCachingSampler(NegativeSampler):
     def __repr__(self) -> str:
         workers = (
             f", refresh_workers={self.refresh_workers}"
-            f"{', overlap' if self.refresh_overlap else ''}"
             if self.refresh_workers > 1
             else ""
         )

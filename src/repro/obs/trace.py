@@ -509,7 +509,8 @@ def overlap_report(
         {"worker_seconds", "step_seconds", "hidden_seconds", "hidden_pct"}
 
     Deterministic interval arithmetic — unit-tested on synthetic spans,
-    demonstrated on real ``--refresh-overlap`` runs by the CI smoke job.
+    demonstrated on real ``--refresh-workers 2`` runs by the CI smoke
+    job.
     """
     workers = [
         (float(r["ts"]), _end_of(r))

@@ -20,9 +20,8 @@ deduplication on the hot path); :meth:`drain` compacts with one
 *unique* count still exceeds the threshold — collapses to fully dirty:
 a contiguous block copy beats fancy indexing over most of the table.
 
-The pool keeps one tracker per shared parameter buffer (double
-buffering syncs each buffer on alternating batches, so each tracker
-accumulates the rows dirtied since *its* buffer was last published).
+The pool keeps one tracker for its one shared parameter mirror: it
+accumulates the rows dirtied since the mirror was last published.
 """
 
 from __future__ import annotations

@@ -12,32 +12,33 @@ survivors straight back into shared memory.  Worker processes are forked
 once and live for the whole training run.
 
 Keeping workers on current embeddings costs one parameter publish per
-refresh (:meth:`RefreshPool.sync_params`).  Two mechanisms keep that
-publish off the critical path:
+refresh (:meth:`RefreshPool.sync_params`) into **one** shared mirror of
+the model.  Two mechanisms keep that publish off the critical path:
 
 * **Dirty-row sync** — a :class:`~repro.parallel.dirty.DirtyRowTracker`
-  per shared buffer accumulates the rows the optimiser actually touched
-  (callers report them via :meth:`RefreshPool.mark_dirty`); the sync
-  then ships only ``param[rows]`` slices.  The first sync per buffer,
-  any un-marked run, and heavily-dirty tables fall back to the full
+  accumulates the rows the optimiser actually touched since the last
+  publish (callers report them via :meth:`RefreshPool.mark_dirty`); the
+  sync then ships only ``param[rows]`` slices.  The first sync, any
+  un-marked run, and heavily-dirty tables fall back to the full
   contiguous copy — bit-identical either way, the tracker only changes
   *how many bytes* move.
-* **Double buffering + dispatch/collect** — with ``double_buffer=True``
-  two shared parameter blocks alternate: :meth:`dispatch` publishes the
-  pre-step snapshot into the inactive buffer, flips the buffer index the
-  workers read per task, and returns immediately; the trainer runs its
-  gradient/optimizer phases while the workers refresh, and
+* **Dispatch/collect** — :meth:`dispatch` publishes the pre-step
+  snapshot, enqueues the batch and returns immediately; the trainer runs
+  its gradient/optimizer phases while the workers refresh, and
   :meth:`collect` picks up the results at the top of the next batch.
   Algorithm 3 only needs *pre-step* parameters, so overlapping the
-  refresh with the step changes nothing about the results.
+  refresh with the step changes nothing about the results.  One mirror
+  is enough: only one batch is ever in flight (:meth:`dispatch` raises
+  over an uncollected one), so the next publish always follows the
+  collect of the batch that read the mirror.
 
 Determinism: every task draws from its own generator seeded by
 ``(seed, mode, shard_id, epoch, batch)``.  Streams belong to *shards*,
 not workers, so results are bit-identical across worker counts,
 scheduling orders, the in-process fallback (``n_workers < 2`` or
-platforms without ``fork``), dirty vs full sync, and overlapped vs
-synchronous execution — two seeded runs always produce the same
-caches and training trajectory.  Note this stream layout differs from
+platforms without ``fork``), dirty vs full sync, and when the caller
+collects — two seeded runs always produce the same caches and training
+trajectory.  Note this stream layout differs from
 the sequential single-stream path: parallel refresh (>= 2 workers) is a
 *deterministic sibling* of sequential training, not a bit-identical twin;
 with 1 worker the sampler keeps the sequential path, which is
@@ -97,10 +98,11 @@ class ShardResult:
 
     ``seconds`` is the task's execution wall time inside the worker;
     ``queue_wait`` the dispatch→start latency (0.0 when the task was not
-    stamped); ``worker_pid`` identifies which process ran it (the parent
-    pid under the inline fallback).  The sampler folds these into its
-    metrics registry, giving the per-shard refresh timings of the run
-    log and ``/metrics``.
+    stamped), which includes the run time of sibling tasks the same
+    worker took first; ``worker_pid`` identifies which process ran it
+    (the parent pid under the inline fallback).  The sampler folds these
+    into its metrics registry, giving the per-shard refresh timings of
+    the run log and ``/metrics``.
 
     ``spans`` piggybacks the worker's finished trace spans (schema-v2
     ``span`` record dicts) when the pool was built with ``trace=True`` —
@@ -159,32 +161,29 @@ class _WorkerState:
     ``views`` holds one row-addressed cache per mode over the shared
     storage, ``unions`` one persistent union block per mode.
 
-    ``models`` holds one read-only parameter view per shared buffer;
-    ``buffer_flag`` is a shared 1-element index naming the buffer the
-    current batch was published into.  The flag only ever flips between
-    a :meth:`RefreshPool.collect` and the next :meth:`dispatch` (the
-    pool enforces one batch in flight), so a per-task read is race-free.
+    ``model`` scores through read-only views of the pool's shared
+    parameter mirror.
 
     With ``trace=True`` the state carries a
     :class:`~repro.obs.trace.Tracer`: built pre-fork, so every worker
     inherits its *own* copy-on-write ring.  ``run`` records one
     ``queue_wait`` and one ``shard_task`` span per task (timestamped on
     the system-wide monotonic axis, comparable with the parent's spans)
-    and drains them into the returned :attr:`ShardResult.spans`.
+    and drains them into the returned :attr:`ShardResult.spans`.  A
+    ``queue_wait`` span starts no earlier than the end of the worker's
+    previous ``shard_task``, so one worker's spans never overlap.
     """
 
     def __init__(
         self,
-        models: tuple[KGEModel, ...],
-        buffer_flag: np.ndarray,
+        model: KGEModel,
         views: dict[str, ArrayNegativeCache],
         candidate_size: int,
         update_strategy: UpdateStrategy,
         seed: int,
         trace: bool = False,
     ) -> None:
-        self.models = models
-        self.buffer_flag = buffer_flag
+        self.model = model
         self.views = views
         self.unions: dict[str, np.ndarray] = {}
         self.candidate_size = candidate_size
@@ -198,6 +197,8 @@ class _WorkerState:
             self.tracer: "Tracer | None" = Tracer(capacity=1024)
         else:
             self.tracer = None
+        #: Monotonic end of this worker's previous traced ``shard_task``.
+        self.last_task_end = 0.0
 
     def task_rng(self, task: ShardTask) -> np.random.Generator:
         """The task's own stream: keyed by (seed, mode, shard, epoch, batch)."""
@@ -220,22 +221,23 @@ class _WorkerState:
 
     def run(self, task: ShardTask) -> ShardResult:
         """Fused Alg. 3 refresh of one shard slice, against shared storage."""
+        now = time.monotonic()
         queue_wait = (
-            max(0.0, time.monotonic() - task.enqueued_at)
-            if task.enqueued_at > 0.0
-            else 0.0
+            max(0.0, now - task.enqueued_at) if task.enqueued_at > 0.0 else 0.0
         )
         tracer, task_span = self.tracer, None
         if tracer is not None:
             if task.enqueued_at > 0.0:
                 # The wait is already over; record it as a pre-finished
-                # span anchored at the dispatch stamp.
+                # span from the dispatch stamp, or from the end of this
+                # worker's previous task if it ran after the stamp.
+                wait_start = min(now, max(task.enqueued_at, self.last_task_end))
                 tracer.ingest((
                     {
                         "name": "queue_wait",
                         "cat": "refresh_worker",
-                        "ts": task.enqueued_at,
-                        "dur": queue_wait,
+                        "ts": wait_start,
+                        "dur": now - wait_start,
                         "pid": os.getpid(),
                         "tid": threading.get_native_id(),
                     },
@@ -257,14 +259,14 @@ class _WorkerState:
         cache.rng = rng = self.task_rng(task)
         before_init = cache.initialised_entries
         changed = refresh_cache_rows(
-            self.models[int(self.buffer_flag[0])], cache,
+            self.model, cache,
             task.anchors, task.relations, task.rows, task.mode,
             self.union_buffer(task.mode, len(task.rows)), self.update_strategy, rng,
         )
         spans: tuple[dict[str, Any], ...] = ()
         if tracer is not None:
             assert task_span is not None
-            task_span.end()
+            self.last_task_end = task_span.start + task_span.end()
             spans = tuple(tracer.drain())
         return ShardResult(
             task.mode,
@@ -317,8 +319,8 @@ class RefreshPool:
     Parameters
     ----------
     model:
-        The training model; its parameters are mirrored into shared
-        read-only blocks before every refresh (:meth:`sync_params`).
+        The training model; its parameters are mirrored into one set of
+        shared read-only blocks before every refresh (:meth:`sync_params`).
     caches:
         One shared-memory :class:`~repro.core.array_cache.ArrayNegativeCache`
         (built with ``n_shards=``) per corruption mode (``"head"``/``"tail"``) — storage must already be
@@ -330,12 +332,6 @@ class RefreshPool:
     seed:
         Base entropy for the per-``(mode, shard, epoch, batch)`` task
         streams.
-    double_buffer:
-        Allocate **two** shared parameter blocks instead of one, so a
-        batch's snapshot can be published (and its tasks dispatched)
-        while the previous batch's results are still outstanding — the
-        overlap mode of :meth:`dispatch`/:meth:`collect`.  Costs one
-        extra parameter mirror of memory.
     trace:
         Give every worker its own span :class:`~repro.obs.trace.Tracer`
         (built pre-fork); each task's ``queue_wait``/``shard_task``
@@ -356,7 +352,6 @@ class RefreshPool:
         update_strategy: UpdateStrategy | str,
         seed: int,
         n_workers: int = 1,
-        double_buffer: bool = False,
         trace: bool = False,
     ) -> None:
         if n_workers < 1:
@@ -371,15 +366,14 @@ class RefreshPool:
         self.update_strategy = UpdateStrategy(update_strategy)
         self.seed = int(seed)
         self.n_workers = int(n_workers)
-        self.n_buffers = 2 if double_buffer else 1
         self.trace = bool(trace)
-        #: Per-buffer ``{name: block}`` parameter mirrors (filled by start).
-        self._param_blocks: list[dict[str, SharedArrayBlock]] = []
-        self._flag_block: SharedArrayBlock | None = None
-        self._trackers: list[DirtyRowTracker] = []
+        #: The ``{name: block}`` shared parameter mirror (filled by start).
+        self._param_blocks: dict[str, SharedArrayBlock] = {}
+        self._tracker: DirtyRowTracker | None = None
         self._armed = False  # becomes True on the first mark_dirty()
-        self._publish = 0  # buffer index the next dispatch publishes into
         self._inflight = 0  # dispatched-but-uncollected task count
+        #: Pids of workers found dead by a collect; the pool then refuses work.
+        self._dead: list[int] = []
         self._inline_pending: list[ShardResult | _TaskFailure] = []
         #: The most recent :class:`SyncReport` (telemetry; None pre-sync).
         self.last_sync: SyncReport | None = None
@@ -409,29 +403,17 @@ class RefreshPool:
         # Mirror the model into shared memory: workers score through
         # read-only views of these blocks, so a parent-side publish per
         # refresh is all it takes to keep them on the right embeddings.
-        # With double buffering each buffer gets its own full mirror and
-        # its own dirty tracker (a buffer is only as stale as *its* last
-        # publish, which is two batches back when buffers alternate).
-        self._flag_block = SharedArrayBlock((1,), np.int64)
-        assert self._flag_block.array is not None
-        row_counts = {
-            name: int(param.shape[0])
-            for name, param in self.model.params.items()
-        }
-        worker_models = []
-        for _ in range(self.n_buffers):
-            blocks: dict[str, SharedArrayBlock] = {}
-            worker_model = self.model.copy()
-            for name, param in self.model.params.items():
-                block = SharedArrayBlock(param.shape, param.dtype)
-                assert block.array is not None
-                blocks[name] = block
-                view = block.array.view()
-                view.setflags(write=False)
-                worker_model.params[name] = view
-            self._param_blocks.append(blocks)
-            self._trackers.append(DirtyRowTracker(row_counts))
-            worker_models.append(worker_model)
+        worker_model = self.model.copy()
+        for name, param in self.model.params.items():
+            block = SharedArrayBlock(param.shape, param.dtype)
+            assert block.array is not None
+            self._param_blocks[name] = block
+            view = block.array.view()
+            view.setflags(write=False)
+            worker_model.params[name] = view
+        self._tracker = DirtyRowTracker(
+            {name: int(param.shape[0]) for name, param in self.model.params.items()}
+        )
 
         views: dict[str, ArrayNegativeCache] = {}
         for mode, store in self.caches.items():
@@ -450,8 +432,7 @@ class RefreshPool:
             )
             views[mode] = view
         self._state = _WorkerState(
-            tuple(worker_models),
-            self._flag_block.array,
+            worker_model,
             views,
             self.candidate_size,
             self.update_strategy,
@@ -484,7 +465,7 @@ class RefreshPool:
         its results (and any failures) are discarded, but the queue ends
         empty so the worker shutdown below cannot interleave sentinels
         with unread answers.  A dead worker aborts the drain rather than
-        hanging the close.
+        hanging the close; the shared blocks are released either way.
         """
         if self._inflight:
             try:
@@ -507,17 +488,13 @@ class RefreshPool:
             self._results.close()  # type: ignore[attr-defined]
             self._results = None
         self._state = None
-        self._trackers = []
+        self._tracker = None
         self._armed = False
-        self._publish = 0
+        self._dead = []
         self._inline_pending = []
-        block_sets, self._param_blocks = self._param_blocks, []
-        for blocks in block_sets:
-            for block in blocks.values():
-                block.release()
-        if self._flag_block is not None:
-            self._flag_block.release()
-            self._flag_block = None
+        blocks, self._param_blocks = self._param_blocks, {}
+        for block in blocks.values():
+            block.release()
         self._started = False
 
     # -- dirty-row tracking ----------------------------------------------------
@@ -527,45 +504,43 @@ class RefreshPool:
         The contract behind delta syncs: once a caller starts marking, it
         must mark *every* parameter mutation (the trainer reports the
         optimiser's touched rows and the post-step normalisation).  Marks
-        before :meth:`start` are safely dropped — every buffer's first
-        sync is a full copy regardless.
+        before :meth:`start` are safely dropped — the first sync is a
+        full copy regardless.
         """
         self._armed = True
-        if not self._started:
-            return
-        for tracker in self._trackers:
-            tracker.mark(name, rows)
+        if self._tracker is not None:
+            self._tracker.mark(name, rows)
 
     def mark_all_dirty(self) -> None:
-        """Force the next sync of every buffer back to a full copy.
+        """Force the next sync back to a full copy.
 
         The escape hatch for bulk parameter mutations that bypass row
         tracking (checkpoint restore, manual edits).
         """
-        for tracker in self._trackers:
-            tracker.mark_all()
+        if self._tracker is not None:
+            self._tracker.mark_all()
 
     def dirty_fraction(self) -> float:
-        """Pending dirty fraction of the buffer the next sync publishes."""
-        if not self._trackers:
+        """Pending dirty fraction of the next sync."""
+        if self._tracker is None:
             return 1.0
-        return self._trackers[self._publish].pending_fraction()
+        return self._tracker.pending_fraction()
 
     # -- per-refresh operations -------------------------------------------------
     def sync_params(self) -> SyncReport:
-        """Publish current parameters into the next dispatch's buffer.
+        """Publish current parameters into the shared mirror.
 
         Delta path: once any :meth:`mark_dirty` call was made, only each
         table's dirty rows move (``block[rows] = param[rows]``).  Full
-        path — first sync per buffer, never-marked runs, or tables past
+        path — the first sync, never-marked runs, or tables past
         the tracker's threshold — is one contiguous ``np.copyto`` per
-        table.  Both paths leave identical bytes in the buffer; the
+        table.  Both paths leave identical bytes in the mirror; the
         returned :class:`SyncReport` says how many actually moved.
         """
         if not self._started:
             self.start()
-        blocks = self._param_blocks[self._publish]
-        tracker = self._trackers[self._publish]
+        blocks, tracker = self._param_blocks, self._tracker
+        assert tracker is not None
         use_deltas = self._armed
         bytes_copied = rows_copied = full_tables = 0
         total_bytes = 0
@@ -608,13 +583,15 @@ class RefreshPool:
         run against the snapshot taken *here*, so the caller is free to
         mutate the model afterwards; :meth:`collect` picks the results
         up later.  Only one batch may be in flight: dispatching over an
-        uncollected batch raises ``RuntimeError``.
+        uncollected batch raises ``RuntimeError``, as does dispatching to
+        a pool whose collect found a dead worker.
 
         Under the inline fallback (no worker processes) the tasks run
         synchronously right here — same snapshot, same streams, so
         results are bit-identical to process execution; ``collect``
         then just hands the stored results back.
         """
+        self._refuse_if_dead()
         if self._inflight:
             raise RuntimeError(
                 f"{self._inflight} task(s) of a previous dispatch not yet "
@@ -624,11 +601,8 @@ class RefreshPool:
             return 0  # nothing to refresh: skip the parameter publish too
         if not self._started:
             self.start()
-        assert self._state is not None and self._flag_block is not None
+        assert self._state is not None
         self.sync_params()
-        assert self._flag_block.array is not None
-        self._flag_block.array[0] = self._publish
-        self._publish = (self._publish + 1) % self.n_buffers
         self._inflight = len(tasks)
         if not self._processes:
             # Inline fallback: run now, hand back at collect().
@@ -643,11 +617,13 @@ class RefreshPool:
         """Results of the in-flight dispatch (empty if none outstanding).
 
         Blocks until every dispatched task completed; raises
-        ``RuntimeError`` if a worker reported an exception or died.  As
-        with the one-shot :meth:`refresh`, one result per dispatched
-        task is always drained even after a failure — a partially read
-        queue would desync every later refresh.
+        ``RuntimeError`` if a worker reported an exception or died.  One
+        result per dispatched task is always drained even after a task
+        failure — a partially read queue would desync every later
+        refresh.  A dead worker leaves unanswered tasks behind, so after
+        one the pool refuses further dispatches and collects.
         """
+        self._refuse_if_dead()
         if not self._inflight:
             return []
         pending, self._inflight = self._inflight, 0
@@ -671,20 +647,12 @@ class RefreshPool:
             raise RuntimeError(f"refresh worker failed:\n{failure.message}")
         return results
 
-    def refresh(self, tasks: list[ShardTask]) -> list[ShardResult]:
-        """Run a batch's shard tasks (both modes together) synchronously.
-
-        The one-shot publish → dispatch → collect sequence; blocks until
-        every task completed.  Raises ``RuntimeError`` if a worker
-        reported an exception or died.  An empty batch is a true no-op:
-        no parameter publish, no task traffic.
-        """
-        if not tasks:
-            if not self._started:
-                self.start()
-            return []
-        self.dispatch(tasks)
-        return self.collect()
+    def _refuse_if_dead(self) -> None:
+        if self._dead:
+            raise RuntimeError(
+                f"refresh worker(s) {self._dead} died; the pool refuses "
+                "further work, close it"
+            )
 
     def _next_result(self) -> "ShardResult | _TaskFailure":
         """One queued result; waits as long as every worker stays alive.
@@ -705,6 +673,7 @@ class RefreshPool:
             except queue_module.Empty:  # pragma: no cover - timing dependent
                 dead = [p.pid for p in self._processes if not p.is_alive()]
                 if dead:
+                    self._dead = [pid for pid in dead if pid is not None]
                     raise RuntimeError(
                         f"refresh worker(s) {dead} died without answering"
                     ) from None
@@ -719,5 +688,5 @@ class RefreshPool:
         mode = "processes" if self.using_processes else "inline"
         return (
             f"RefreshPool(n_workers={self.n_workers}, mode={mode}, "
-            f"n_buffers={self.n_buffers}, sides={sorted(self.caches)})"
+            f"sides={sorted(self.caches)})"
         )

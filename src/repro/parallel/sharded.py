@@ -13,8 +13,8 @@
 To *see* the resulting concurrency, trace a run (``repro train
 --trace-out``): each worker's ``shard_task`` spans
 (:mod:`repro.obs.trace`) land on their own pid row of the exported
-timeline, overlapping the trainer's gradient and optimizer spans when
-``--refresh-overlap`` is on.
+timeline, overlapping the trainer's gradient and optimizer spans
+whenever ``--refresh-workers`` is 2 or more.
 """
 
 from __future__ import annotations

@@ -94,10 +94,10 @@ class Trainer:
     #: ``score_candidates`` and ``parallel_refresh`` nest inside
     #: ``cache_update`` (candidate scoring of the sequential refresh, and
     #: dispatch+wait of the pooled refresh); self time makes them
-    #: disjoint.  ``refresh_overlap`` is the wait for an overlapped
+    #: disjoint.  ``refresh_overlap`` is the wait for the pooled
     #: refresh at the top of the next batch — time the refresh pipeline
     #: failed to hide behind the gradients/optimizer phases (0 when the
-    #: workers finished first, or when overlap is off).
+    #: workers finished first, or on the sequential refresh).
     PROFILE_PHASES = (
         "refresh_overlap", "sample", "score", "cache_update",
         "score_candidates", "parallel_refresh", "gradients", "optimizer",
@@ -160,7 +160,7 @@ class Trainer:
         if hasattr(self.sampler, "tracer"):
             self.sampler.tracer = tracer
 
-        # Overlapped-refresh samplers hand back a collect hook: the
+        # Pooled-refresh samplers hand back a collect hook: the
         # trainer drains the in-flight dispatch at the top of every batch
         # (and at epoch end), timing the un-hidden wait as the
         # ``refresh_overlap`` phase.  Dirty-sync samplers take the rows
@@ -357,7 +357,7 @@ class Trainer:
                 losses.append(batch_stats["loss"])
                 nzl_values.append(batch_stats["nzl"])
                 grad_norms.append(batch_stats["grad_norm"])
-            # The last batch's overlapped refresh is still in flight: wait
+            # The last batch's pooled refresh is still in flight: wait
             # for it inside the epoch clock so epoch_seconds stays honest
             # about the full refresh cost.
             if self._collect_refreshes is not None:
@@ -391,7 +391,7 @@ class Trainer:
         :class:`FloatingPointError` when the batch's loss is not finite,
         before the caches or the embeddings are touched.
         """
-        # Collect the previous batch's overlapped refresh before touching
+        # Collect the previous batch's pooled refresh before touching
         # the caches; whatever wait is left is overlap the step failed to
         # hide.  (sample() would collect defensively anyway — collecting
         # here attributes the wait to its own phase, not ``sample``.)

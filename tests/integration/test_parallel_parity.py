@@ -8,17 +8,14 @@ Three contracts, end to end through the Trainer:
 * with ``refresh_workers >= 2`` training is deterministic: repeated
   seeded runs, different worker counts, and the in-process fallback (run
   under the ``no_fork`` fixture) all land on identical parameters and CE
-  series;
+  series — and so does a sampler that collects each refresh inside its
+  own ``update()`` instead of behind the step;
 * the parallel run reports its phases and shard stats through the
   trainer's profiling surface.
 
 The CI ``parallel-parity`` job runs this module with
 ``REPRO_REFRESH_WORKERS=2`` (the default here) so the multiprocess path
-is exercised with real forked workers; a second matrix entry adds
-``REPRO_REFRESH_OVERLAP=1``, which re-runs every parallel arm through
-the overlapped dispatch/collect pipeline — by the overlap contract
-(pre-step snapshots + per-shard streams) all determinism assertions
-must hold unchanged.
+is exercised with real forked workers.
 """
 
 import multiprocessing as mp
@@ -35,29 +32,29 @@ from repro.train.trainer import Trainer
 #: Worker count for the multiprocess arms (CI pins this to 2).
 WORKERS = int(os.environ.get("REPRO_REFRESH_WORKERS", "2"))
 
-#: With REPRO_REFRESH_OVERLAP=1 every parallel arm (workers >= 2) runs
-#: the overlapped dispatch/collect pipeline — same assertions, because
-#: overlap is bit-identical to the synchronous pooled path.
-OVERLAP = os.environ.get("REPRO_REFRESH_OVERLAP", "0") == "1"
-
 FORK_AVAILABLE = "fork" in mp.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
     not FORK_AVAILABLE, reason="fork start method unavailable"
 )
 
 
+class _CollectingSampler(NSCachingSampler):
+    """Collects each pooled refresh inside its own update(), before the step."""
+
+    def update(self, *args, **kwargs):
+        super().update(*args, **kwargs)
+        self.collect_refreshes()
+
+
 def _train(tiny_kg, backend, *, options=None, workers=1, epochs=3,
-           profile=False, overlap=None, period=1):
-    if overlap is None:
-        overlap = OVERLAP and workers >= 2
+           profile=False, overlap=True, period=1):
     model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 16, rng=0)
-    sampler = NSCachingSampler(
+    sampler = (NSCachingSampler if overlap else _CollectingSampler)(
         cache_size=8,
         candidate_size=8,
         cache_backend=backend,
         **(options or {}),
         refresh_workers=workers,
-        refresh_overlap=overlap,
         refresh_period=period,
     )
     trainer = Trainer(
@@ -258,13 +255,14 @@ class TestParallelSurface:
 
 
 class TestOverlapParity:
-    """Overlap: bit-identical to the synchronous pooled path.
+    """Overlap: bit-identical to collecting inside update().
 
     Algorithm 3 only needs pre-step parameters, so dispatching a batch's
     refresh before the gradient/optimizer phases (against the pool's
-    double-buffered snapshot) and collecting at the next batch must land
-    on exactly the parameters/losses/CE of PR 5's synchronous path —
-    whatever the worker count, sync path, or execution backend.
+    pre-step snapshot) and collecting at the next batch must land on
+    exactly the parameters/losses/CE of a sampler that waits for its
+    refresh before the step — whatever the sync path or execution
+    backend.
     """
 
     def test_overlap_matches_synchronous_inline(self, tiny_kg, no_fork):
@@ -302,18 +300,6 @@ class TestOverlapParity:
             trainer_s.close()
             trainer_o.close()
 
-    @needs_fork
-    def test_overlap_independent_of_worker_count(self, tiny_kg):
-        outcomes = []
-        for workers in (WORKERS, WORKERS + 1):
-            model, history, trainer = _train(
-                tiny_kg, "sharded-array", options={"n_shards": 4},
-                workers=workers, overlap=True,
-            )
-            outcomes.append(_outcome(model, history))
-            trainer.close()
-        _assert_same_outcome(*outcomes)
-
     def test_dirty_sync_matches_full_sync(self, tiny_kg, no_fork, monkeypatch):
         """Delta syncs land on the trajectory of an un-marked run, whose
         pool full-copies the parameters on every publish."""
@@ -325,8 +311,7 @@ class TestOverlapParity:
                     lambda self, name, rows: None,
                 )
             model, history, trainer = _train(
-                tiny_kg, "sharded-array", options={"n_shards": 4},
-                workers=2, overlap=True,
+                tiny_kg, "sharded-array", options={"n_shards": 4}, workers=2,
             )
             outcomes.append(_outcome(model, history))
             armed.append(trainer.sampler._pool._armed)
@@ -337,14 +322,13 @@ class TestOverlapParity:
     def test_overlap_profile_reports_its_phase(self, tiny_kg, no_fork):
         model, history, trainer = _train(
             tiny_kg, "sharded-array", options={"n_shards": 4},
-            workers=2, overlap=True, profile=True,
+            workers=2, profile=True,
         )
         try:
             report = trainer.profile_report()
             assert "refresh_overlap" in report
             assert report["parallel_refresh"] > 0
             stats = trainer.cache_report()
-            assert stats["refresh_overlap"] is True
             assert stats["last_sync_bytes"] > 0
             # On this tiny KG one batch touches most of the entity table,
             # so the tracker rightly collapses to a full copy — the stat
@@ -390,15 +374,15 @@ class TestRefreshPeriod:
             trainer_lazy.close()
 
     def test_period_composes_with_overlap(self, tiny_kg, no_fork):
-        runs = []
-        for _ in range(2):
+        outcomes = []
+        for overlap in (True, False):
             model, history, trainer = _train(
                 tiny_kg, "sharded-array", options={"n_shards": 4},
-                workers=2, period=2, overlap=True,
+                workers=2, period=2, overlap=overlap,
             )
-            runs.append(_outcome(model, history))
+            outcomes.append(_outcome(model, history))
             trainer.close()
-        _assert_same_outcome(*runs)
+        _assert_same_outcome(*outcomes)
 
     def test_sequential_period_reproducible_and_lazier(self, tiny_kg):
         """The knob is not pool-only: the sequential refresh honours it."""
@@ -421,3 +405,10 @@ class TestRefreshPeriod:
             NSCachingSampler(refresh_period=0)
         with pytest.raises(ValueError, match="refresh_workers >= 2"):
             NSCachingSampler(refresh_overlap=True)
+
+    def test_refresh_overlap_only_restates_the_pooled_path(self):
+        with pytest.raises(ValueError, match="always overlaps"):
+            NSCachingSampler(refresh_workers=2, refresh_overlap=False)
+        for overlap in (None, True):
+            NSCachingSampler(refresh_workers=2, refresh_overlap=overlap)
+        NSCachingSampler(refresh_overlap=False)

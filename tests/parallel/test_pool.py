@@ -9,6 +9,8 @@ fallback.  The fallback runs when a pool has one worker, or under the
 
 import multiprocessing as mp
 import os
+import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.core.array_cache import ArrayNegativeCache
 from repro.core.strategies import UpdateStrategy
 from repro.data.keyindex import KeyIndex
 from repro.models import make_model
+from repro.obs.trace import span_totals
 from repro.parallel.pool import RefreshPool, ShardTask
 
 N_ENTITIES = 25
@@ -83,13 +86,19 @@ def _tasks(caches, epoch=0, batch=0):
     return tasks
 
 
+def _refresh(pool, tasks):
+    """One batch refresh: dispatch, then collect."""
+    pool.dispatch(tasks)
+    return pool.collect()
+
+
 def _run_rounds(n_workers, rounds=3):
     """Final cache states + counter totals after a few refresh rounds."""
     pool, caches = _make_pool(n_workers)
     try:
         with pool:
             for batch in range(rounds):
-                results = pool.refresh(_tasks(caches, epoch=0, batch=batch))
+                results = _refresh(pool, _tasks(caches, epoch=0, batch=batch))
                 assert all(r.changed >= 0 for r in results)
         states = {
             mode: store.gather(np.arange(N_KEYS, dtype=np.int64))
@@ -185,7 +194,7 @@ class TestPoolMechanics:
         try:
             pool.start()
             assert not pool.using_processes
-            results = pool.refresh(_tasks(caches))
+            results = _refresh(pool, _tasks(caches))
             assert results
             assert {r.worker_pid for r in results} == {os.getpid()}
         finally:
@@ -196,7 +205,7 @@ class TestPoolMechanics:
     def test_empty_refresh_is_a_noop(self):
         pool, caches = _make_pool(1)
         try:
-            assert pool.refresh([]) == []
+            assert _refresh(pool, []) == []
         finally:
             pool.close()
             for store in caches.values():
@@ -213,9 +222,9 @@ class TestPoolMechanics:
                 np.array([N_KEYS + 100]),  # out-of-range storage row
             )
             with pytest.raises(RuntimeError, match="refresh worker failed"):
-                pool.refresh([bad])
+                _refresh(pool, [bad])
             # The pool keeps serving after a failed task.
-            results = pool.refresh(_tasks(caches))
+            results = _refresh(pool, _tasks(caches))
             assert results
         finally:
             pool.close()
@@ -235,9 +244,9 @@ class TestPoolMechanics:
                 np.array([0]), np.array([0]), np.array([N_KEYS + 100]),
             )
             with pytest.raises(RuntimeError, match="refresh worker failed"):
-                pool.refresh(good_tasks + [bad])
+                _refresh(pool, good_tasks + [bad])
             follow_up = _tasks(caches, batch=1)
-            results = pool.refresh(follow_up)
+            results = _refresh(pool, follow_up)
             assert len(results) == len(follow_up)
             # Results belong to the follow-up tasks, not the earlier batch.
             assert sorted((r.mode, r.shard) for r in results) == sorted(
@@ -255,7 +264,7 @@ class TestPoolMechanics:
             pool.start()
             pool.model.params["entity"][:] = np.nan
             with pytest.raises(RuntimeError, match="refresh worker failed") as info:
-                pool.refresh(_tasks(caches))
+                _refresh(pool, _tasks(caches))
             message = str(info.value)
             assert "FloatingPointError" in message
             assert "non-finite candidate scores (first in row 0)" in message
@@ -267,10 +276,10 @@ class TestPoolMechanics:
     def test_tasks_reuse_one_union_buffer_per_side(self):
         pool, caches = _make_pool(1)
         try:
-            pool.refresh(_tasks(caches, batch=0))
+            _refresh(pool, _tasks(caches, batch=0))
             buffers = dict(pool._state.unions)
             assert set(buffers) == {"head", "tail"}
-            pool.refresh(_tasks(caches, batch=1))  # same slice sizes
+            _refresh(pool, _tasks(caches, batch=1))  # same slice sizes
             for mode, buffer in buffers.items():
                 assert pool._state.unions[mode] is buffer
         finally:
@@ -284,7 +293,7 @@ class TestPoolMechanics:
             pool.start()
             pool.model.params["entity"][:] = 123.0
             pool.sync_params()
-            worker_view = pool._state.models[0].params["entity"]
+            worker_view = pool._state.model.params["entity"]
             assert float(worker_view[0, 0]) == 123.0
             assert not worker_view.flags.writeable  # read-only snapshot
         finally:
@@ -293,12 +302,10 @@ class TestPoolMechanics:
                 store.close()
 
     def test_results_carry_task_telemetry(self, no_fork):
-        import time
-
         pool, caches = _make_pool(2)
         try:
             tasks = _tasks(caches)
-            results = pool.refresh(tasks)
+            results = _refresh(pool, tasks)
             by_key = {(t.mode, t.shard): t for t in tasks}
             for result in results:
                 task = by_key[(result.mode, result.shard)]
@@ -315,7 +322,7 @@ class TestPoolMechanics:
                 )
                 for t in tasks
             ]
-            for result in pool.refresh(stamped):
+            for result in _refresh(pool, stamped):
                 assert result.queue_wait >= 0.0
         finally:
             pool.close()
@@ -328,7 +335,7 @@ class TestPoolMechanics:
         try:
             pool.start()
             worker_pids = {p.pid for p in pool._processes}
-            results = pool.refresh(_tasks(caches))
+            results = _refresh(pool, _tasks(caches))
             assert {r.worker_pid for r in results} <= worker_pids
             assert all(r.worker_pid != 0 for r in results)
         finally:
@@ -339,7 +346,7 @@ class TestPoolMechanics:
     def test_close_drains_uncollected_inflight_refresh(self, no_fork):
         """close() over an uncollected dispatch must not wedge the queues:
         the in-flight results are drained (and discarded) first."""
-        pool, caches = _make_pool(2, double_buffer=True)
+        pool, caches = _make_pool(2)
         try:
             pool.start()
             assert pool.dispatch(_tasks(caches)) > 0
@@ -353,7 +360,7 @@ class TestPoolMechanics:
 
     @needs_fork
     def test_close_drains_uncollected_inflight_refresh_with_processes(self):
-        pool, caches = _make_pool(2, double_buffer=True)
+        pool, caches = _make_pool(2)
         try:
             pool.start()
             assert pool.dispatch(_tasks(caches)) > 0
@@ -408,7 +415,7 @@ class TestDirtySync:
             assert report.rows_copied == len(rows)
             assert report.bytes_copied < report.total_bytes
             assert 0.0 < report.dirty_fraction < 1.0
-            view = pool._state.models[0].params["entity"]
+            view = pool._state.model.params["entity"]
             np.testing.assert_array_equal(view[rows], 42.0)
             assert pool.last_sync is report
         finally:
@@ -440,8 +447,8 @@ class TestDirtySync:
                 pools[marked] = pool
             for name in ("entity", "relation"):
                 np.testing.assert_array_equal(
-                    pools[True]._state.models[0].params[name],
-                    pools[False]._state.models[0].params[name],
+                    pools[True]._state.model.params[name],
+                    pools[False]._state.model.params[name],
                 )
             full = pools[False].last_sync
             assert full.full_tables == full.n_tables
@@ -491,7 +498,7 @@ class TestDirtySync:
             pool.mark_all_dirty()  # the escape hatch
             report = pool.sync_params()
             assert report.full_tables == report.n_tables
-            view = pool._state.models[0].params["entity"]
+            view = pool._state.model.params["entity"]
             np.testing.assert_array_equal(view, 7.0)
         finally:
             pool.close()
@@ -499,14 +506,14 @@ class TestDirtySync:
                 store.close()
 
     def test_empty_refresh_skips_the_parameter_publish(self):
-        """The satellite bugfix: refresh([]) must not pay the memcpy."""
+        """An empty batch must not pay the memcpy."""
         pool, caches = _make_pool(1)
         try:
             pool.start()
             pool.sync_params()
             pool.model.params["entity"][:] = 123.0
-            assert pool.refresh([]) == []
-            view = pool._state.models[0].params["entity"]
+            assert _refresh(pool, []) == []
+            view = pool._state.model.params["entity"]
             assert float(view[0, 0]) != 123.0  # snapshot untouched
         finally:
             pool.close()
@@ -528,27 +535,25 @@ class TestDirtySync:
                 store.close()
 
 
-def _overlap_rounds(overlap, rounds=3, mutate=True):
-    """Cache states after `rounds` refreshes, overlapped or one-shot.
+def _overlap_rounds(overlap, rounds=3):
+    """Cache states after `rounds` refreshes, overlapped or collected first.
 
-    ``mutate`` perturbs the model *after* each dispatch — under overlap
-    the tasks must still see the pre-step snapshot, so results have to
-    match the synchronous pool that syncs before refreshing.
+    Each round perturbs the model after its dispatch — overlapped, before
+    the collect.  The tasks must still see the pre-step snapshot, so
+    results have to match a pool that collects before the model moves.
     """
-    pool, caches = _make_pool(2, double_buffer=overlap)
+    pool, caches = _make_pool(2)
     try:
         with pool:
             for batch in range(rounds):
                 tasks = _tasks(caches, epoch=0, batch=batch)
+                pool.dispatch(tasks)
                 if overlap:
-                    pool.dispatch(tasks)
-                    if mutate:
-                        pool.model.params["entity"][:] += 0.125
+                    pool.model.params["entity"][:] += 0.125
                     results = pool.collect()
                 else:
-                    results = pool.refresh(tasks)
-                    if mutate:
-                        pool.model.params["entity"][:] += 0.125
+                    results = pool.collect()
+                    pool.model.params["entity"][:] += 0.125
                 assert len(results) == len(tasks)
         return {
             mode: store.gather(np.arange(N_KEYS, dtype=np.int64))
@@ -575,7 +580,7 @@ class TestOverlap:
             np.testing.assert_array_equal(sync[mode], overlapped[mode])
 
     def test_dispatch_rejects_second_batch_in_flight(self, no_fork):
-        pool, caches = _make_pool(2, double_buffer=True)
+        pool, caches = _make_pool(2)
         try:
             pool.start()
             pool.dispatch(_tasks(caches, batch=0))
@@ -588,7 +593,7 @@ class TestOverlap:
                 store.close()
 
     def test_collect_without_dispatch_returns_nothing(self, no_fork):
-        pool, caches = _make_pool(2, double_buffer=True)
+        pool, caches = _make_pool(2)
         try:
             pool.start()
             assert pool.collect() == []
@@ -598,7 +603,7 @@ class TestOverlap:
                 store.close()
 
     def test_empty_dispatch_is_a_noop(self, no_fork):
-        pool, caches = _make_pool(2, double_buffer=True)
+        pool, caches = _make_pool(2)
         try:
             pool.start()
             assert pool.dispatch([]) == 0
@@ -609,16 +614,70 @@ class TestOverlap:
             for store in caches.values():
                 store.close()
 
-    def test_double_buffers_alternate(self, no_fork):
-        pool, caches = _make_pool(2, double_buffer=True)
+    def test_each_publish_ships_the_rows_marked_since_the_last(self, no_fork):
+        """One mirror, one tracker: a dispatch ships exactly the rows the
+        step marked after the previous dispatch, and the mirror then
+        holds the current parameters."""
+        pool, caches = _make_pool(2)
         try:
             pool.start()
-            flags = []
-            for batch in range(3):
-                pool.dispatch(_tasks(caches, batch=batch))
-                flags.append(int(pool._flag_block.array[0]))
+            pool.mark_dirty("entity", np.array([0]))  # arm delta syncs
+            pool.dispatch(_tasks(caches, batch=0))  # first publish: full
+            assert pool.last_sync.full_tables == pool.last_sync.n_tables
+            rng = np.random.default_rng(2)
+            for batch in range(1, 4):
+                # The step runs between dispatch and collect.
+                entity_rows = rng.choice(N_ENTITIES, size=5, replace=False)
+                relation_rows = rng.choice(N_RELATIONS, size=1, replace=False)
+                pool.model.params["entity"][entity_rows] += 0.5
+                pool.model.params["relation"][relation_rows] -= 0.25
+                pool.mark_dirty("entity", entity_rows)
+                pool.mark_dirty("relation", relation_rows)
                 pool.collect()
-            assert flags == [0, 1, 0]
+                pool.dispatch(_tasks(caches, batch=batch))
+                report = pool.last_sync
+                assert report.full_tables == 0
+                assert report.rows_copied == len(entity_rows) + len(relation_rows)
+                for name in ("entity", "relation"):
+                    np.testing.assert_array_equal(
+                        pool._state.model.params[name], pool.model.params[name]
+                    )
+            pool.collect()
+        finally:
+            pool.close()
+            for store in caches.values():
+                store.close()
+
+    def test_queue_wait_spans_never_overlap_a_workers_tasks(self, no_fork):
+        """A worker's queue_wait span starts where its previous task
+        ended, while ShardResult.queue_wait stays dispatch→start."""
+        pool, caches = _make_pool(2, trace=True)
+        try:
+            stamp = time.monotonic()
+            tasks = [
+                ShardTask(
+                    t.mode, t.shard, t.epoch, t.batch, t.anchors,
+                    t.relations, t.rows, enqueued_at=stamp,
+                )
+                for t in _tasks(caches)
+                if t.mode == "head"
+            ]
+            assert len(tasks) >= 3
+            results = _refresh(pool, tasks)
+            spans = [span for result in results for span in result.spans]
+            by_thread = {}
+            for span in spans:
+                by_thread.setdefault((span["pid"], span["tid"]), []).append(span)
+            for thread_spans in by_thread.values():
+                thread_spans.sort(key=lambda span: span["ts"])
+                for prev, nxt in zip(thread_spans, thread_spans[1:]):
+                    assert prev["ts"] + prev["dur"] <= nxt["ts"] + 1e-9
+            waits = span_totals(spans)[("refresh_worker", "queue_wait")]
+            assert waits.calls == len(tasks)
+            assert waits.self_seconds == waits.seconds
+            for k, result in enumerate(results):
+                earlier = sum(r.seconds for r in results[:k])
+                assert result.queue_wait >= earlier - 1e-9
         finally:
             pool.close()
             for store in caches.values():
@@ -631,7 +690,7 @@ class TestOverlap:
         from repro.parallel import pool as pool_module
 
         monkeypatch.setattr(pool_module, "_RESULT_POLL_SECONDS", 0.2)
-        pool, caches = _make_pool(2, double_buffer=True)
+        pool, caches = _make_pool(2)
         try:
             pool.start()
             # Kill the workers first so the dispatched tasks can never be
@@ -640,11 +699,23 @@ class TestOverlap:
                 process.terminate()
             for process in pool._processes:
                 process.join(timeout=5.0)
+            pids = [process.pid for process in pool._processes]
             pool.dispatch(_tasks(caches))
             with pytest.raises(RuntimeError, match="died without answering"):
                 pool.collect()
             assert pool.inflight == 0
+            # The dead workers' tasks were never answered: the pool must
+            # refuse to publish into the mirror or read stale results.
+            for call in (lambda: pool.dispatch(_tasks(caches, batch=1)), pool.collect):
+                with pytest.raises(RuntimeError, match="refuses further work") as info:
+                    call()
+                assert all(str(pid) in str(info.value) for pid in pids)
+            names = [block._shm.name for block in pool._param_blocks.values()]
+            assert names
             pool.close()  # shutdown after the failure must not hang
+            for name in names:
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=name)
         finally:
             for store in caches.values():
                 store.close()
@@ -654,7 +725,7 @@ class TestOverlap:
         """A _TaskFailure inside an overlapped batch must leave the result
         queue empty: the next dispatch/collect gets exactly its own
         answers."""
-        pool, caches = _make_pool(2, double_buffer=True)
+        pool, caches = _make_pool(2)
         try:
             pool.start()
             bad = ShardTask(

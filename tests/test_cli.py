@@ -318,11 +318,22 @@ class TestOverlapRefreshCLI:
 
         args = build_parser().parse_args(
             ["train", "--dataset", "WN18RR", "--model", "TransE",
-             "--refresh-workers", "2", "--refresh-overlap", "--refresh-period", "4"]
+             "--refresh-workers", "2", "--refresh-period", "4"]
         )
         kwargs = _sampler_kwargs(args)
-        assert kwargs["refresh_overlap"] is True
+        assert kwargs["refresh_workers"] == 2
         assert kwargs["refresh_period"] == 4
+        assert "refresh_overlap" not in kwargs
+
+    def test_refresh_overlap_flag_is_rejected(self, capsys):
+        """The pooled refresh always overlaps: there is no flag for it."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["train", "--dataset", "WN18RR", "--model", "TransE",
+                 "--refresh-workers", "2", "--refresh-overlap"]
+            )
+        assert excinfo.value.code == 2
+        assert "--refresh-overlap" in capsys.readouterr().err
 
     def test_no_dirty_sync_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -340,26 +351,12 @@ class TestOverlapRefreshCLI:
             ["train", "--dataset", "WN18RR", "--model", "TransE"]
         )
         kwargs = _sampler_kwargs(args)
-        assert kwargs["refresh_overlap"] is False
+        assert kwargs["refresh_workers"] == 1
         assert kwargs["refresh_period"] == 1
         assert "dirty_sync" not in kwargs
 
-    def test_overlap_without_workers_fails_cleanly(self, capsys):
-        code = main(
-            [
-                "train",
-                "--dataset", "WN18RR",
-                "--model", "TransE",
-                "--epochs", "1",
-                "--scale", "0.05",
-                "--refresh-overlap",
-            ]
-        )
-        assert code == 2
-        assert "refresh_workers >= 2" in capsys.readouterr().err
-
     def test_overlap_flags_with_other_sampler_fail_cleanly(self, capsys):
-        for flags in (["--refresh-overlap"], ["--refresh-period", "2"]):
+        for flags in (["--refresh-workers", "2"], ["--refresh-period", "2"]):
             code = main(
                 [
                     "train",
@@ -388,7 +385,6 @@ class TestOverlapRefreshCLI:
                 "--candidate-size", "4",
                 "--n-shards", "2",
                 "--refresh-workers", "2",
-                "--refresh-overlap",
                 "--refresh-period", "2",
                 "--profile",
             ]
@@ -652,7 +648,6 @@ class TestTraceCLI:
         code = self._train_with_trace(
             trace_path,
             "--refresh-workers", "2",
-            "--refresh-overlap",
         )
         assert code == 0
         capsys.readouterr()

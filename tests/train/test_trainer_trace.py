@@ -213,8 +213,7 @@ class TestParallelTrace:
             assert "shard" in record["args"]
         # The pool's dispatch span marks where the trainer handed off.
         assert any(
-            r["cat"] == "refresh" and r["name"] in ("dispatch", "refresh")
-            for r in records
+            r["cat"] == "refresh" and r["name"] == "dispatch" for r in records
         )
 
     def test_queue_wait_spans_recorded_when_stamped(self, tiny_kg, tmp_path):
