@@ -7,7 +7,8 @@
   (``n_shards``);
 * :mod:`repro.core.strategies` — sample-from-cache and update-cache
   strategies with the exploration/exploitation trade-offs of Figure 6,
-  and :func:`refresh_cache_rows`, the one Alg. 3 refresh body;
+  and :func:`refresh_cache_rows`, the one Alg. 3 refresh body, split
+  at its RNG boundary into a draw step and a row-local score/select step;
 * :mod:`repro.core.nscaching` — :class:`NSCachingSampler`, Algorithms 2-3;
 * :mod:`repro.core.stats` — RR / NZL / CE instrumentation (Figures 7-8).
 """

@@ -29,17 +29,30 @@ keys onto a fixed number of rows (§VI), and shared storage
 (``n_shards``, or ``refresh_workers >= 2``) moves the rows into shared
 memory; neither changes the refresh below.
 
-The refresh itself (Alg. 3) is **fused**
-(:func:`~repro.core.strategies.refresh_cache_rows`): the candidate union
-is assembled in a persistent per-sampler buffer, scored in one shot
-through the model's :meth:`~repro.models.base.KGEModel.score_candidates`
-kernel, and the top-``N1`` survivors go straight from ``argpartition``
-into the cache ``scatter`` — no intermediate concatenate/score-gather
-copies.  The CE count arrives as a per-row hint derived from the
-selection's column structure instead of a multiset sort, and ``scatter``
-recounts locally only the storage rows the batch writes more than once.
-The step-by-step concatenate → score → select → scatter orchestration
-lives on as a test oracle, bit-identical under a fixed seed
+The refresh itself (Alg. 3) is **fused**: the candidate union is
+assembled in a persistent per-side buffer, scored in one shot through
+the model's :meth:`~repro.models.base.KGEModel.score_candidates` kernel,
+and the top-``N1`` survivors go straight from ``argpartition`` into the
+cache ``scatter`` — no intermediate concatenate/score-gather copies.
+The CE count arrives as a per-row hint derived from the selection's
+column structure instead of a multiset sort, and ``scatter`` recounts
+locally only the storage rows the batch writes more than once.
+
+The head cache and the tail cache never read what the other writes, so
+the two sides of a batch run on two threads, byte for byte.
+:meth:`NSCachingSampler.update` first makes every draw of the batch on
+the caller, head side then tail side, in the one stream's order
+(:func:`~repro.core.strategies.draw_candidates`: the gather's lazy
+init, the ``N2`` fresh ids, the selection noise into a persistent
+per-side block).  The two sides' row-local steps
+(:func:`~repro.core.strategies.score_and_select`) are then the two
+halves of one :func:`~repro.models.base.split_work` call: the head side
+on the caller, the tail side on the helper thread.  Only after the join
+is either cache written, head then tail, so a non-finite score on either
+side leaves both caches as they were.  A single side, a 1-CPU affinity
+and a forked child run the same code serially.  The step-by-step
+concatenate → score → select → scatter orchestration lives on as a test
+oracle, bit-identical under a fixed seed
 (``tests/integration/test_backend_parity.py``).
 
 With ``refresh_workers >= 2`` the refresh instead runs on a
@@ -66,6 +79,7 @@ contrasts with IGAN/KBGAN.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -76,15 +90,19 @@ import numpy as np
 
 from repro.core.array_cache import ArrayNegativeCache, layout_count
 from repro.core.strategies import (
+    CandidateDraw,
+    RefreshedRows,
     SampleStrategy,
     UpdateStrategy,
-    refresh_cache_rows,
+    draw_candidates,
+    reusable_rows,
     sample_from_cache,
+    score_and_select,
 )
 from repro.data.dataset import KGDataset
 from repro.data.keyindex import TripleKeyIndex
 from repro.data.triples import HEAD, REL, TAIL
-from repro.models.base import CANDIDATE_MODES, KGEModel
+from repro.models.base import CANDIDATE_MODES, KGEModel, split_work
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Span, Tracer
 from repro.sampling.base import NegativeSampler
@@ -190,6 +208,18 @@ class BatchRows(NamedTuple):
     def take(self, indices: np.ndarray) -> "BatchRows":
         """Rows for a subset of the indexed triples."""
         return BatchRows(self.head[indices], self.tail[indices])
+
+
+class _DrawnSide(NamedTuple):
+    """One cache side of a batch refresh after its draws: the inputs of
+    its row-local step and of its scatter."""
+
+    mode: str
+    cache: ArrayNegativeCache
+    rows: np.ndarray
+    anchors: np.ndarray
+    relations: np.ndarray
+    draw: CandidateDraw
 
 
 class NSCachingSampler(NegativeSampler):
@@ -328,16 +358,19 @@ class NSCachingSampler(NegativeSampler):
         #: Optional span tracer the trainer attaches (``--profile``,
         #: ``--metrics-out``, ``--trace-out``).  Refreshes then record
         #: ``refresh_side``/``dispatch``/``collect`` spans plus the
-        #: trainer's ``train`` phases ``score_candidates`` (the scoring
-        #: step alone) and ``parallel_refresh`` (the pooled dispatch+wait),
-        #: and the pooled refresh merges the workers' shipped spans into
-        #: this ring.  ``None`` (the default) keeps the exact seed code
-        #: path.  Attach before the first parallel update(): workers
-        #: inherit their rings at fork.
+        #: trainer's ``train`` phases ``score_candidates`` (the caller's
+        #: scoring step alone; the helper thread's side records its
+        #: scoring as a ``refresh`` span) and ``parallel_refresh`` (the
+        #: pooled dispatch+wait), and the pooled refresh merges the
+        #: workers' shipped spans into this ring.  ``None`` (the default)
+        #: keeps the exact seed code path.  Attach before the first
+        #: parallel update(): workers inherit their rings at fork.
         self.tracer: Tracer | None = None
         self._metrics: MetricsRegistry | None = None
         self._mh: _RefreshMetrics | None = None  # pre-resolved handles
-        self._union: np.ndarray | None = None  # fused-path candidate buffer
+        #: Persistent per-side ``[B, N1+N2]`` union and noise blocks.
+        self._unions: dict[str, np.ndarray] = {}
+        self._noise: dict[str, np.ndarray] = {}
         self._pool: RefreshPool | None = None  # created on first parallel update
         self._pool_seed: int | None = None
         self._epoch_batch = 0  # per-epoch update counter for task streams
@@ -384,7 +417,8 @@ class NSCachingSampler(NegativeSampler):
         return self
 
     def close(self) -> None:
-        """Stop the refresh pool and release shared-memory cache storage.
+        """Stop the refresh pool, release shared-memory cache storage and
+        drop the refresh buffers.
 
         Idempotent; the sampler can be re-bound afterwards.  The trainer
         and CLI call this when training finishes.  A pooled refresh
@@ -402,6 +436,8 @@ class NSCachingSampler(NegativeSampler):
         for cache in (self.head_cache, self.tail_cache):
             if cache is not None:
                 cache.close()
+        self._unions.clear()
+        self._noise.clear()
 
     def on_epoch_start(self, epoch: int) -> None:
         """Epoch notification; also restarts the per-epoch batch counter."""
@@ -498,8 +534,9 @@ class NSCachingSampler(NegativeSampler):
         ``modes`` selects which caches to refresh (``"head"`` = the
         head-corruption cache keyed by ``(r, t)``, ``"tail"`` = the
         tail-corruption cache keyed by ``(h, r)``; default both).  An
-        unknown mode raises ``ValueError`` up front — even on lazily
-        skipped epochs — instead of silently refreshing the tail cache.
+        unknown or repeated mode raises ``ValueError`` up front — even on
+        lazily skipped epochs — instead of silently refreshing the tail
+        cache.
 
         Two lazy schedules gate the refresh: ``lazy_epochs`` skips whole
         epochs (paper Table I) and ``refresh_period`` skips within an
@@ -513,6 +550,10 @@ class NSCachingSampler(NegativeSampler):
                     f"unknown corruption mode {mode!r}; expected one of "
                     f"{CANDIDATE_MODES}"
                 )
+        if len(set(modes)) != len(modes):
+            # The sides of one batch draw before either is written, each
+            # into its own buffers: a repeated side has neither.
+            raise ValueError(f"corruption modes repeat in {modes!r}")
         batch_index = self._epoch_batch
         self._epoch_batch += 1
         if self.epoch % (self.lazy_epochs + 1) != 0:
@@ -525,47 +566,81 @@ class NSCachingSampler(NegativeSampler):
         if self.refresh_workers > 1:
             self._parallel_refresh(batch, rows, modes, batch_index)
             return
-        tracer = self.tracer
+        # Alg. 3's serial prefix: every draw of the batch, side after side
+        # in mode order on the one stream.
+        sides: list[_DrawnSide] = []
         for mode in modes:
-            side_rows = rows.head if mode == "head" else rows.tail
-            if tracer is not None:
-                with tracer.start_span(
-                    "refresh_side", "refresh",
-                    args={"mode": mode, "rows": int(len(batch))},
-                ):
-                    self._refresh_side(batch, side_rows, mode)
-            else:
-                self._refresh_side(batch, side_rows, mode)
+            side = self._refresh_side(
+                batch, rows.head if mode == "head" else rows.tail, mode
+            )
+            if side is not None:
+                sides.append(side)
+        refreshed: list[RefreshedRows | None] = [None] * len(sides)
+        caller = threading.get_ident()
 
-    def _union_buffer(self, n_rows: int) -> np.ndarray:
-        """Persistent ``[B, N1+N2]`` block the fused refresh assembles into."""
-        width = self.cache_size + self.candidate_size
-        if self._union is None or self._union.shape[0] < n_rows:
-            self._union = np.empty((n_rows, width), dtype=np.int64)
-        return self._union[:n_rows]
+        def select_sides(first: int, last: int) -> None:
+            for i in range(first, last):
+                refreshed[i] = self._select_side(sides[i], caller)
 
-    def _refresh_side(self, batch: np.ndarray, rows: np.ndarray, mode: str) -> None:
-        """Run Algorithm 3 for one cache, vectorised over the batch.
+        split_work(len(sides), select_sides)
+        # Both sides are selected before either cache is written.
+        for side, survivors in zip(sides, refreshed):
+            assert survivors is not None
+            ce = side.cache.scatter(
+                side.rows, survivors.ids, survivors.scores, overlap=survivors.overlap
+            )
+            if self._mh is not None:
+                self._observe_refresh(side.mode, len(side.rows), ce)
 
-        :func:`~repro.core.strategies.refresh_cache_rows` on the
-        sampler's own stream, assembling in the persistent union buffer;
-        with a tracer, a ``score_candidates`` span times its scoring step.
+    def _refresh_side(
+        self, batch: np.ndarray, rows: np.ndarray, mode: str
+    ) -> _DrawnSide | None:
+        """Alg. 3's draw step for one cache, on the sampler's stream.
+
+        :func:`~repro.core.strategies.draw_candidates` into the side's
+        persistent union and noise blocks; returns the side's row-local
+        rest, which :meth:`update` runs and scatters.  An override may
+        refresh its side outright and return ``None`` (the unfused
+        reference refresh of the test oracles does).
         """
         assert self.head_cache is not None and self.tail_cache is not None
         cache = self.head_cache if mode == "head" else self.tail_cache
-        anchors = batch[:, TAIL] if mode == "head" else batch[:, HEAD]
-        tracer = self.tracer
-        ce = refresh_cache_rows(
-            self.model, cache, anchors, batch[:, REL], rows, mode,
-            self._union_buffer(len(batch)), self.update_strategy, self.rng,
-            score_context=(
-                tracer.start_span("score_candidates", "train")
-                if tracer is not None
-                else None
-            ),
+        width = self.cache_size + self.candidate_size
+        union = reusable_rows(self._unions, mode, len(batch), width, np.int64)
+        noise = (
+            None
+            if self.update_strategy is UpdateStrategy.TOP
+            else reusable_rows(self._noise, mode, len(batch), width, np.float64)
         )
-        if self._mh is not None:
-            self._observe_refresh(mode, len(batch), ce)
+        draw = draw_candidates(cache, rows, union, self.update_strategy, self.rng, noise)
+        anchors = batch[:, TAIL] if mode == "head" else batch[:, HEAD]
+        return _DrawnSide(mode, cache, rows, anchors, batch[:, REL], draw)
+
+    def _select_side(self, side: _DrawnSide, caller: int) -> RefreshedRows:
+        """Alg. 3's row-local step for one drawn side, on either thread.
+
+        With a tracer, a ``refresh_side`` span on the running thread
+        wraps it and a span times its scoring step: the trainer's
+        ``score_candidates`` phase on the ``caller`` thread, a ``refresh``
+        span on the helper, whose time the caller's ``cache_update``
+        already covers.
+        """
+        tracer = self.tracer
+        if tracer is None:
+            return score_and_select(
+                self.model, side.cache, side.anchors, side.relations, side.mode,
+                side.draw, self.update_strategy,
+            )
+        phase = "train" if threading.get_ident() == caller else "refresh"
+        with tracer.start_span(
+            "refresh_side", "refresh",
+            args={"mode": side.mode, "rows": int(len(side.rows))},
+        ):
+            return score_and_select(
+                self.model, side.cache, side.anchors, side.relations, side.mode,
+                side.draw, self.update_strategy,
+                score_context=tracer.start_span("score_candidates", phase),
+            )
 
     def _observe_refresh(self, mode: str, n_rows: int, changed: int) -> None:
         """Fold one refreshed side into the attached registry's counters."""

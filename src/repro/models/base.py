@@ -36,7 +36,11 @@ block.  Each thread has its own gather buffer and writes a disjoint slice
 of the output with the ops of the serial loop, so scores are
 byte-identical either way.  A call made while another is in progress
 (inside a split, or from another thread) runs serially, and so does
-every call in a forked child.
+every call in a forked child.  The sequential NSCaching refresh splits
+one level up: its head and tail cache sides are the two halves of one
+:func:`split_work` call per batch, so each side's candidate call runs
+serially on its own thread.  The kernel split itself serves
+single-side refreshes, evaluation and serving.
 """
 
 from __future__ import annotations

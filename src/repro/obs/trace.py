@@ -81,7 +81,7 @@ class Span:
     context manager (``with tracer.start_span(...):``).  Entering restarts
     the clock, so a span can be made ahead of the block it times and
     handed down as a context (the sampler passes one to
-    :func:`~repro.core.strategies.refresh_cache_rows`).  ``end`` is
+    :func:`~repro.core.strategies.score_and_select`).  ``end`` is
     idempotent: the first call stamps the duration and records the span,
     later calls return the same duration.
     """

@@ -58,7 +58,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from repro.core.array_cache import ArrayNegativeCache
-from repro.core.strategies import UpdateStrategy, refresh_cache_rows
+from repro.core.strategies import UpdateStrategy, refresh_cache_rows, reusable_rows
 from repro.models.base import CANDIDATE_MODES, KGEModel
 from repro.parallel.dirty import DirtyRowTracker
 from repro.parallel.sharded import SharedArrayBlock
@@ -213,11 +213,8 @@ class _WorkerState:
 
     def union_buffer(self, mode: str, n_rows: int) -> np.ndarray:
         """The mode's persistent ``[n_rows, N1+N2]`` union block."""
-        union = self.unions.get(mode)
-        if union is None or union.shape[0] < n_rows:
-            width = self.views[mode].size + self.candidate_size
-            union = self.unions[mode] = np.empty((n_rows, width), dtype=np.int64)
-        return union[:n_rows]
+        width = self.views[mode].size + self.candidate_size
+        return reusable_rows(self.unions, mode, n_rows, width, np.int64)
 
     def run(self, task: ShardTask) -> ShardResult:
         """Fused Alg. 3 refresh of one shard slice, against shared storage."""

@@ -22,6 +22,8 @@ phase and epoch becomes a ``train`` span, and samplers with a ``tracer``
 slot record their refresh spans into the same ring, including the
 ``score_candidates`` scoring of the Alg. 3 candidate union and the
 ``parallel_refresh`` dispatch+wait, both nested inside ``cache_update``.
+Only the trainer's own thread records ``train`` spans: the cache side
+a helper thread refreshes records its scoring as a ``refresh`` span.
 :meth:`Trainer.phase_seconds` reads each phase's ``train`` self time
 from the tracer's running totals, so the phases partition the hot loop
 and sum to at most its wall time.  The pooled refresh merges spans
@@ -273,6 +275,16 @@ class Trainer:
                 labels={"phase": phase},
             ).set_total(seconds)
 
+    def _count_nonfinite(self, source: str) -> None:
+        """Count a batch stopped by a non-finite ``loss`` or ``refresh``
+        score, before its ``FloatingPointError`` propagates."""
+        if self.metrics is not None:
+            self.metrics.counter(
+                "train_nonfinite_total",
+                "batches stopped by a non-finite loss or cache refresh score",
+                labels={"source": source},
+            ).inc()
+
     def cache_report(self) -> dict[str, object]:
         """The sampler's cache introspection (empty for cache-less samplers).
 
@@ -389,7 +401,11 @@ class Trainer:
         ``rows`` carries precomputed cache-row indices for row-indexed
         samplers (sliced from the split-wide precomputation).  Raises
         :class:`FloatingPointError` when the batch's loss is not finite,
-        before the caches or the embeddings are touched.
+        before the caches or the embeddings are touched; a sequential
+        refresh raises it for a non-finite candidate score before either
+        cache is written.  With a registry attached,
+        ``train_nonfinite_total{source="loss"|"refresh"}`` counts either
+        first.
         """
         # Collect the previous batch's pooled refresh before touching
         # the caches; whatever wait is left is overlap the step failed to
@@ -414,6 +430,7 @@ class Trainer:
             d_pos, d_neg = self.loss.score_grads(pos_scores, neg_scores)
         loss = float(np.mean(loss_values))
         if not np.isfinite(loss):
+            self._count_nonfinite("loss")
             raise FloatingPointError(
                 f"non-finite loss ({loss}) in epoch {self._epoch}: the "
                 "embeddings hold NaN/inf or the learning rate diverged; "
@@ -422,10 +439,14 @@ class Trainer:
 
         # Alg. 2 step 8: the cache refresh precedes the embedding update.
         with self._phase("cache_update"):
-            if rows is not None:
-                self.sampler.update(batch, negatives, rows)
-            else:
-                self.sampler.update(batch, negatives)
+            try:
+                if rows is not None:
+                    self.sampler.update(batch, negatives, rows)
+                else:
+                    self.sampler.update(batch, negatives)
+            except FloatingPointError:
+                self._count_nonfinite("refresh")
+                raise
 
         with self._phase("gradients"):
             bag = self.model.grad_triples(batch, d_pos)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.models.base as base
 from repro.core.nscaching import NSCachingSampler
 from repro.core.strategies import SampleStrategy, UpdateStrategy
 from repro.models import make_model
@@ -220,6 +221,13 @@ class TestUpdateModes:
             sampler.update(batch, batch, modes=("relation",))
         assert sampler.changed_elements() == 0  # nothing was refreshed
 
+    @pytest.mark.parametrize("modes", [("head", "head"), ("tail", "head", "tail")])
+    def test_repeated_mode_rejected(self, bound_sampler, tiny_kg, modes):
+        batch = tiny_kg.train[:4]
+        with pytest.raises(ValueError, match="repeat"):
+            bound_sampler.update(batch, batch, modes=modes)
+        assert bound_sampler.changed_elements() == 0
+
     def test_single_mode_refreshes_only_that_cache(self, bound_sampler, tiny_kg):
         batch = tiny_kg.train[:8]
         bound_sampler.update(batch, batch, modes=("head",))
@@ -250,18 +258,93 @@ class TestFusedRefresh:
             sampler.update(batch, batch, modes=("tail",))
 
     def test_union_buffer_reused_across_batches(self, bound_sampler, tiny_kg):
+        """Each side keeps its own union and noise block across batches."""
         batch = tiny_kg.train[:16]
         bound_sampler.update(batch, batch)
-        buffer = bound_sampler._union
-        assert buffer is not None
-        assert buffer.shape == (16, 12)  # N1 + N2 = 6 + 6
+        unions, noise = dict(bound_sampler._unions), dict(bound_sampler._noise)
+        assert set(unions) == set(noise) == {"head", "tail"}
+        for mode in ("head", "tail"):
+            assert unions[mode].shape == (16, 12)  # N1 + N2 = 6 + 6
+            assert unions[mode].dtype == np.int64
+            assert noise[mode].shape == (16, 12)
+            assert noise[mode].dtype == np.float64
+        # The two sides run at once, so no block is shared between them.
+        blocks = [*unions.values(), *noise.values()]
+        assert len({id(block) for block in blocks}) == 4
         bound_sampler.update(tiny_kg.train[16:32], tiny_kg.train[16:32])
-        assert bound_sampler._union is buffer  # no reallocation
+        for mode in ("head", "tail"):  # no reallocation
+            assert bound_sampler._unions[mode] is unions[mode]
+            assert bound_sampler._noise[mode] is noise[mode]
 
     def test_union_buffer_grows_for_larger_batches(self, bound_sampler, tiny_kg):
-        bound_sampler.update(tiny_kg.train[:8], tiny_kg.train[:8])
+        """A side's blocks appear on its first refresh and grow with the batch."""
+        bound_sampler.update(tiny_kg.train[:8], tiny_kg.train[:8], modes=("head",))
+        assert set(bound_sampler._unions) == set(bound_sampler._noise) == {"head"}
         bound_sampler.update(tiny_kg.train[:32], tiny_kg.train[:32])
-        assert bound_sampler._union.shape[0] >= 32
+        for mode in ("head", "tail"):
+            assert bound_sampler._unions[mode].shape[0] >= 32
+            assert bound_sampler._noise[mode].shape[0] >= 32
+
+    def test_top_selection_draws_no_noise_block(self, tiny_kg):
+        model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
+        sampler = NSCachingSampler(cache_size=4, candidate_size=4, update_strategy="top")
+        sampler.bind(model, tiny_kg, rng=0)
+        sampler.update(tiny_kg.train[:8], tiny_kg.train[:8])
+        assert set(sampler._unions) == {"head", "tail"}
+        assert sampler._noise == {}
+
+    def test_close_drops_refresh_buffers(self, bound_sampler, tiny_kg):
+        bound_sampler.update(tiny_kg.train[:8], tiny_kg.train[:8])
+        bound_sampler.close()
+        assert bound_sampler._unions == {} and bound_sampler._noise == {}
+
+
+def _cache_snapshot(sampler):
+    return [
+        (
+            cache._ids.tobytes(),
+            cache._scores.tobytes(),
+            cache._live.tobytes(),
+            cache.changed_elements,
+            cache.initialised_entries,
+        )
+        for cache in (sampler.head_cache, sampler.tail_cache)
+    ]
+
+
+class TestNonFiniteSide:
+    """A NaN score on either side stops the batch before either cache is
+    written, with the split on (the tail side on the helper thread) and
+    off."""
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    @pytest.mark.parametrize("bad_mode", ["head", "tail"])
+    def test_nan_on_one_side_leaves_both_caches_unchanged(
+        self, tiny_kg, monkeypatch, split, bad_mode
+    ):
+        monkeypatch.setattr(base, "_split", split)
+        model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
+        sampler = NSCachingSampler(
+            cache_size=4, candidate_size=4, sample_strategy="importance"
+        )
+        sampler.bind(model, tiny_kg, rng=0)
+        batch = tiny_kg.train[:16]
+        sampler.update(batch, batch)  # both sides' rows live, with scores
+        before = _cache_snapshot(sampler)
+        score = model.score_candidates
+
+        def poisoned(anchors, r, candidates, mode="tail"):
+            out = score(anchors, r, candidates, mode)
+            if mode == bad_mode:  # a row only this side scores
+                out[5, 3] = np.nan
+            return out
+
+        monkeypatch.setattr(model, "score_candidates", poisoned)
+        with pytest.raises(
+            FloatingPointError, match=r"non-finite candidate scores \(first in row 5\)"
+        ):
+            sampler.update(batch, batch)
+        assert _cache_snapshot(sampler) == before
 
 
 class TestStrategyVariants:

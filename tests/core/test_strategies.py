@@ -43,6 +43,27 @@ class TestDuplicateMask:
         assert sorted(kept.tolist()) == sorted(set(row))
 
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [(0, 900), (2**31 - 50, 2**31 + 50), (-(2**61), 2**61)],
+        ids=["int32-codes", "int64-codes", "argsort-fallback"],
+    )
+    def test_every_code_width_agrees_with_a_stable_argsort(self, low, high):
+        """The packed sort runs on int32 codes when they fit, int64 codes
+        when they do not, and a per-row argsort past 2**62; all three
+        mark the same repeats."""
+        rng = np.random.default_rng(4)
+        ids = rng.integers(low, high, size=(64, 30))
+        ids[:, 1] = ids[:, 0]  # at least one repeat per row
+        order = np.argsort(ids, axis=1, kind="stable")
+        sorted_ids = np.take_along_axis(ids, order, axis=1)
+        repeat = np.zeros_like(ids, dtype=bool)
+        repeat[:, 1:] = sorted_ids[:, 1:] == sorted_ids[:, :-1]
+        expected = np.zeros_like(repeat)
+        np.put_along_axis(expected, order, repeat, axis=1)
+        np.testing.assert_array_equal(duplicate_mask(ids), expected)
+
+
 class TestSampleFromCache:
     def test_uniform_returns_cache_members(self, rng):
         ids = np.array([[10, 11, 12], [20, 21, 22]])

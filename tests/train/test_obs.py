@@ -1,8 +1,11 @@
 """Trainer observability: registry wiring, run log, phase partitioning."""
 
+import threading
+
 import numpy as np
 import pytest
 
+import repro.models.base as base
 from repro.core.nscaching import NSCachingSampler
 from repro.models import make_model
 from repro.obs.registry import MetricsRegistry
@@ -87,6 +90,100 @@ class TestRegistryWiring:
         sampler.metrics = None
         assert sampler.metrics is None
         assert sampler._mh is None
+
+
+class TestNonFiniteCounter:
+    """``train_nonfinite_total{source}`` counts the batch that stopped the
+    run, before its ``FloatingPointError`` propagates."""
+
+    def test_non_finite_loss_counted(self, tiny_kg):
+        registry = MetricsRegistry()
+        trainer = _trainer(tiny_kg, metrics=registry)
+        trainer.model.params["entity"][:] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite loss"):
+            trainer.run()
+        assert registry.value("train_nonfinite_total", labels={"source": "loss"}) == 1
+        assert registry.value(
+            "train_nonfinite_total", labels={"source": "refresh"}
+        ) == 0
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    def test_non_finite_refresh_score_counted(self, tiny_kg, monkeypatch, split):
+        monkeypatch.setattr(base, "_split", split)
+        registry = MetricsRegistry()
+        trainer = _trainer(tiny_kg, metrics=registry)
+        score = trainer.model.score_candidates
+
+        def poisoned(anchors, r, candidates, mode="tail"):
+            out = score(anchors, r, candidates, mode)
+            out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(trainer.model, "score_candidates", poisoned)
+        with pytest.raises(FloatingPointError, match="non-finite candidate scores"):
+            trainer.run()
+        assert registry.value(
+            "train_nonfinite_total", labels={"source": "refresh"}
+        ) == 1
+        assert registry.value("train_nonfinite_total", labels={"source": "loss"}) == 0
+
+    def test_no_counter_without_registry(self, tiny_kg):
+        trainer = _trainer(tiny_kg)
+        trainer.model.params["entity"][:] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite loss"):
+            trainer.run()
+        assert trainer.metrics is None
+
+
+class TestSequentialSplitPhases:
+    """The sequential refresh with its two sides on two threads: the
+    helper side's spans sit on the helper's own tid, and the ``train``
+    phases still partition the hot loop."""
+
+    def test_split_refresh_phases_partition_the_hot_loop(self, tiny_kg, monkeypatch):
+        monkeypatch.setattr(base, "_split", True)
+        trainer = _trainer(tiny_kg, profile=True, epochs=3)
+        try:
+            trainer.run()
+            report = trainer.profile_report()
+            assert report["score_candidates"] > 0
+            assert report["parallel_refresh"] == 0.0
+            raw = trainer.tracer.totals()[("train", "cache_update")].seconds
+            assert report["cache_update"] == pytest.approx(
+                raw - report["score_candidates"]
+            )
+            total, wall = sum(report.values()), trainer.train_seconds
+            assert total <= wall
+            assert total >= 0.5 * wall, (report, wall)
+        finally:
+            trainer.close()
+
+    def test_helper_side_spans_on_their_own_tid(self, tiny_kg, monkeypatch):
+        monkeypatch.setattr(base, "_split", True)
+        trainer = _trainer(tiny_kg, profile=True, epochs=1)
+        try:
+            trainer.run()
+            records = trainer.tracer.records()
+        finally:
+            trainer.close()
+        caller = threading.get_native_id()
+        sides = [r for r in records if r["name"] == "refresh_side"]
+        tids = {
+            mode: {r["tid"] for r in sides if r["args"]["mode"] == mode}
+            for mode in ("head", "tail")
+        }
+        assert tids["head"] == {caller}
+        assert tids["tail"] and caller not in tids["tail"]
+        # Scoring spans: the caller's is the train phase, the helper's a
+        # refresh span on the helper's tid, one of each per batch.
+        scoring = [r for r in records if r["name"] == "score_candidates"]
+        assert {r["tid"] for r in scoring if r["cat"] == "train"} == {caller}
+        helper = {r["tid"] for r in scoring if r["cat"] == "refresh"}
+        assert helper == tids["tail"]
+        n_batches = -(-len(tiny_kg.train) // 64)
+        totals = trainer.tracer.totals()
+        assert totals[("train", "score_candidates")].calls == n_batches
+        assert totals[("refresh", "score_candidates")].calls == n_batches
 
 
 class TestBitIdentical:
