@@ -134,45 +134,13 @@ EXPERIMENTS: dict[str, Experiment] = {
             "benchmarks/bench_ext_self_adversarial.py",
         ),
         Experiment(
-            "X3",
-            "Extension: serving throughput (batched vs one-at-a-time)",
-            "queries/sec and p50/p99 latency across batch sizes via repro.serve",
-            ("repro.serve.engine", "repro.serve.topk"),
-            "benchmarks/bench_serve_throughput.py",
-        ),
-        Experiment(
-            "X6",
-            "Extension: memory-bounded bucketed array cache (SVI on the fast path)",
-            "allocation/collision trade-off across bucket budgets and fused "
-            "update() throughput vs one row per key at N1=N2=50",
-            ("repro.core.array_cache", "repro.data.keyindex"),
-            "benchmarks/bench_bucketed_cache.py",
-        ),
-        Experiment(
-            "X7",
-            "Extension: sharded cache row-space + multiprocess epoch refresh",
-            "update() throughput over an n_shards x refresh_workers grid, "
-            "including the 1-worker overhead floor of shared-memory storage",
-            ("repro.parallel.plan", "repro.core.array_cache",
-             "repro.parallel.pool"),
-            "benchmarks/bench_sharded_refresh.py",
-        ),
-        Experiment(
             "X8",
             "Extension: observability overhead on the update() hot loop",
-            "update() throughput with metrics off / on / on + phase spans, "
-            "interleaved passes; instrumented-on must stay within 3% of off",
+            "update() throughput with nothing / metrics / tracer / both + "
+            "trainer spans attached, interleaved passes; the metrics and "
+            "tracer arms must each stay within 3% of off",
             ("repro.obs.registry", "repro.core.nscaching", "repro.obs.trace"),
             "benchmarks/bench_obs_overhead.py",
-        ),
-        Experiment(
-            "X9",
-            "Extension: dirty-row parameter sync + overlapped refresh pipeline",
-            "full-copy vs dirty-row publish bytes/time at growing entity "
-            "counts, overlap-hidden refresh wall time, refresh_period grid",
-            ("repro.parallel.dirty", "repro.parallel.pool",
-             "repro.train.trainer"),
-            "benchmarks/bench_async_refresh.py",
         ),
         Experiment(
             "X10",
@@ -182,14 +150,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             "full-ranking cost at E=1M, K=500",
             ("repro.eval.sampled", "repro.eval.filters", "repro.models.base"),
             "benchmarks/bench_sampled_eval.py",
-        ),
-        Experiment(
-            "X11",
-            "Extension: span-tracing overhead on the update() hot loop",
-            "update() throughput with tracing off / on / on + update spans, "
-            "interleaved passes; tracing-on must stay within 3% of off",
-            ("repro.obs.trace", "repro.core.nscaching"),
-            "benchmarks/bench_trace_overhead.py",
         ),
     )
 }

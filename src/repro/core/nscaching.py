@@ -80,7 +80,6 @@ contrasts with IGAN/KBGAN.
 from __future__ import annotations
 
 import threading
-import time
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # runtime imports stay lazy to keep repro.parallel optional
@@ -428,8 +427,8 @@ class NSCachingSampler(NegativeSampler):
         """
         try:
             self.collect_refreshes()
-        except RuntimeError:
-            pass  # dead workers: shutdown proceeds regardless
+        except (RuntimeError, FloatingPointError):
+            pass  # failed/dead workers: shutdown proceeds regardless
         if self._pool is not None:
             self._pool.close()
             self._pool = None
@@ -452,6 +451,9 @@ class NSCachingSampler(NegativeSampler):
         Attaching a registry resolves all instrument handles once; every
         refresh then reports batches/rows/candidates/changed-elements per
         cache side, and the pooled refresh adds per-shard task timings.
+        ``refresh_overlap_wait_seconds_total`` is the duration of the
+        ``collect`` span, so it counts only while a :attr:`tracer` is
+        attached too (the trainer attaches one with every registry).
         With no registry attached the hot paths take the exact seed code
         path — training stays bit-identical (bench X8 pins the
         instrumented overhead < 3%).
@@ -707,16 +709,14 @@ class NSCachingSampler(NegativeSampler):
             if self.tracer is not None
             else None
         )
-        started = time.perf_counter()  # repro-lint: ignore[RPL005] -- telemetry only (overlap wait)
         try:
             results = pool.collect()
         finally:
             modes, self._pending_modes = self._pending_modes, None
-            if span is not None:
-                span.end()
+            waited = span.end() if span is not None else 0.0
         self._fold_results(results, modes or CANDIDATE_MODES)
         if self._mh is not None:
-            self._mh.overlap_wait_seconds.inc(time.perf_counter() - started)  # repro-lint: ignore[RPL005] -- telemetry only
+            self._mh.overlap_wait_seconds.inc(waited)
 
     def _build_tasks(
         self,
@@ -747,7 +747,6 @@ class NSCachingSampler(NegativeSampler):
                         anchors=anchors[positions],
                         relations=relations[positions],
                         rows=storage_rows[positions],
-                        enqueued_at=time.monotonic(),  # repro-lint: ignore[RPL005] -- queue-wait telemetry stamp
                     )
                 )
         return tasks

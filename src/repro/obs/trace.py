@@ -12,8 +12,8 @@ spans.  The design constraints mirror the registry's:
   by ``tests/train/test_trainer_trace.py``).
 * **Enabled means cheap.**  ``start_span`` allocates one slotted object
   and reads one clock; ``end`` reads the clock again and appends under a
-  lock (the serve layer traces from handler threads).  Bench X11 pins
-  the whole thing ≤ 3% on the update() hot loop.
+  lock (the serve layer traces from handler threads).  Bench X8's
+  tracer arm pins the whole thing ≤ 3% on the update() hot loop.
 * **One time axis.**  Timestamps come from
   :func:`repro.obs.clock.monotonic`, which is system-wide on Linux —
   spans recorded inside ``fork``-ed :class:`~repro.parallel.pool`

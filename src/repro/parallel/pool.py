@@ -52,7 +52,7 @@ import os
 import queue as queue_module
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -86,9 +86,10 @@ class ShardTask:
     anchors: np.ndarray
     relations: np.ndarray
     rows: np.ndarray  # storage rows, all inside the shard's range
-    #: ``time.monotonic()`` at dispatch (0.0 = not stamped).  On Linux the
-    #: monotonic clock is system-wide, so a forked worker can subtract it
-    #: from its own reading to measure queue wait.
+    #: ``time.monotonic()`` at :meth:`RefreshPool.dispatch`, which stamps
+    #: every task of a batch with one reading.  On Linux the monotonic
+    #: clock is system-wide, so a forked worker can subtract it from its
+    #: own reading to measure queue wait.
     enqueued_at: float = 0.0
 
 
@@ -97,10 +98,10 @@ class ShardResult:
     """Counter deltas and timings a completed task reports back.
 
     ``seconds`` is the task's execution wall time inside the worker;
-    ``queue_wait`` the dispatch→start latency (0.0 when the task was not
-    stamped), which includes the run time of sibling tasks the same
-    worker took first; ``worker_pid`` identifies which process ran it
-    (the parent pid under the inline fallback).  The sampler folds these
+    ``queue_wait`` the dispatch→start latency, which includes the run
+    time of sibling tasks the same worker took first; ``worker_pid``
+    identifies which process ran it (the parent pid under the inline
+    fallback).  The sampler folds these
     into its metrics registry, giving the per-shard refresh timings of
     the run log and ``/metrics``.
 
@@ -147,9 +148,14 @@ class SyncReport(NamedTuple):
 
 @dataclass(frozen=True)
 class _TaskFailure:
-    """A worker-side exception, shipped back as text."""
+    """A worker-side exception, shipped back as text.
+
+    ``nonfinite`` marks a ``FloatingPointError`` (a non-finite candidate
+    score), which :meth:`RefreshPool.collect` re-raises as that type.
+    """
 
     message: str
+    nonfinite: bool = False
 
 
 class _WorkerState:
@@ -219,26 +225,23 @@ class _WorkerState:
     def run(self, task: ShardTask) -> ShardResult:
         """Fused Alg. 3 refresh of one shard slice, against shared storage."""
         now = time.monotonic()
-        queue_wait = (
-            max(0.0, now - task.enqueued_at) if task.enqueued_at > 0.0 else 0.0
-        )
+        queue_wait = max(0.0, now - task.enqueued_at)
         tracer, task_span = self.tracer, None
         if tracer is not None:
-            if task.enqueued_at > 0.0:
-                # The wait is already over; record it as a pre-finished
-                # span from the dispatch stamp, or from the end of this
-                # worker's previous task if it ran after the stamp.
-                wait_start = min(now, max(task.enqueued_at, self.last_task_end))
-                tracer.ingest((
-                    {
-                        "name": "queue_wait",
-                        "cat": "refresh_worker",
-                        "ts": wait_start,
-                        "dur": now - wait_start,
-                        "pid": os.getpid(),
-                        "tid": threading.get_native_id(),
-                    },
-                ))
+            # The wait is already over; record it as a pre-finished span
+            # from the dispatch stamp, or from the end of this worker's
+            # previous task if it ran after the stamp.
+            wait_start = min(now, max(task.enqueued_at, self.last_task_end))
+            tracer.ingest((
+                {
+                    "name": "queue_wait",
+                    "cat": "refresh_worker",
+                    "ts": wait_start,
+                    "dur": now - wait_start,
+                    "pid": os.getpid(),
+                    "tid": threading.get_native_id(),
+                },
+            ))
             task_span = tracer.start_span(
                 "shard_task",
                 "refresh_worker",
@@ -289,7 +292,8 @@ def _run_task(state: _WorkerState, task: ShardTask) -> ShardResult | _TaskFailur
         import traceback
 
         return _TaskFailure(
-            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
+            nonfinite=isinstance(exc, FloatingPointError),
         )
 
 
@@ -467,7 +471,7 @@ class RefreshPool:
         if self._inflight:
             try:
                 self.collect()
-            except RuntimeError:
+            except (RuntimeError, FloatingPointError):
                 pass  # failed/dead workers: shutdown proceeds regardless
         for _ in self._processes:
             assert self._tasks is not None
@@ -576,12 +580,13 @@ class RefreshPool:
         """Publish a pre-step snapshot and enqueue a batch's shard tasks.
 
         Returns the number of tasks dispatched (0 for an empty batch —
-        in which case no parameter publish happens either).  The tasks
-        run against the snapshot taken *here*, so the caller is free to
-        mutate the model afterwards; :meth:`collect` picks the results
-        up later.  Only one batch may be in flight: dispatching over an
-        uncollected batch raises ``RuntimeError``, as does dispatching to
-        a pool whose collect found a dead worker.
+        in which case no parameter publish happens either).  Every task
+        is stamped with one ``enqueued_at`` reading for its queue wait.
+        The tasks run against the snapshot taken *here*, so the caller
+        is free to mutate the model afterwards; :meth:`collect` picks the
+        results up later.  Only one batch may be in flight: dispatching
+        over an uncollected batch raises ``RuntimeError``, as does
+        dispatching to a pool whose collect found a dead worker.
 
         Under the inline fallback (no worker processes) the tasks run
         synchronously right here — same snapshot, same streams, so
@@ -599,6 +604,8 @@ class RefreshPool:
         if not self._started:
             self.start()
         assert self._state is not None
+        now = time.monotonic()
+        tasks = [replace(task, enqueued_at=now) for task in tasks]
         self.sync_params()
         self._inflight = len(tasks)
         if not self._processes:
@@ -614,7 +621,9 @@ class RefreshPool:
         """Results of the in-flight dispatch (empty if none outstanding).
 
         Blocks until every dispatched task completed; raises
-        ``RuntimeError`` if a worker reported an exception or died.  One
+        ``RuntimeError`` if a worker reported an exception or died, and
+        ``FloatingPointError`` if the first failure was a non-finite
+        candidate score (both say "refresh worker failed").  One
         result per dispatched task is always drained even after a task
         failure — a partially read queue would desync every later
         refresh.  A dead worker leaves unanswered tasks behind, so after
@@ -641,7 +650,8 @@ class RefreshPool:
                 else:
                     results.append(result)
         if failure is not None:
-            raise RuntimeError(f"refresh worker failed:\n{failure.message}")
+            error = FloatingPointError if failure.nonfinite else RuntimeError
+            raise error(f"refresh worker failed:\n{failure.message}")
         return results
 
     def _refuse_if_dead(self) -> None:

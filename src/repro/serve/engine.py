@@ -4,8 +4,8 @@
 subsystem.  It parses link-prediction queries (dicts, the JSON wire
 format), answers cache hits immediately, groups the misses by
 ``(direction, k, filtered)`` and scores each group in one vectorised
-:class:`~repro.serve.topk.TopKScorer` call — the batching that
-``benchmarks/bench_serve_throughput.py`` measures.
+:class:`~repro.serve.topk.TopKScorer` call.  The ``serve-topk`` perfbench
+workload measures its HTTP throughput and latency.
 """
 
 from __future__ import annotations

@@ -275,6 +275,18 @@ class Trainer:
                 labels={"phase": phase},
             ).set_total(seconds)
 
+    def _collect_pooled_refresh(self) -> None:
+        """Collect the sampler's in-flight pooled refresh, if it has one,
+        counting a worker's non-finite score before it propagates."""
+        if self._collect_refreshes is None:
+            return
+        with self._phase("refresh_overlap"):
+            try:
+                self._collect_refreshes()
+            except FloatingPointError:
+                self._count_nonfinite("refresh")
+                raise
+
     def _count_nonfinite(self, source: str) -> None:
         """Count a batch stopped by a non-finite ``loss`` or ``refresh``
         score, before its ``FloatingPointError`` propagates."""
@@ -372,9 +384,7 @@ class Trainer:
             # The last batch's pooled refresh is still in flight: wait
             # for it inside the epoch clock so epoch_seconds stays honest
             # about the full refresh cost.
-            if self._collect_refreshes is not None:
-                with self._phase("refresh_overlap"):
-                    self._collect_refreshes()
+            self._collect_pooled_refresh()
         finally:
             epoch_seconds = clock.perf_counter() - started
             self.train_seconds += epoch_seconds
@@ -403,17 +413,15 @@ class Trainer:
         :class:`FloatingPointError` when the batch's loss is not finite,
         before the caches or the embeddings are touched; a sequential
         refresh raises it for a non-finite candidate score before either
-        cache is written.  With a registry attached,
-        ``train_nonfinite_total{source="loss"|"refresh"}`` counts either
-        first.
+        cache is written, and a pooled one when it is collected.  With a
+        registry attached, ``train_nonfinite_total{source="loss"|"refresh"}``
+        counts either first.
         """
         # Collect the previous batch's pooled refresh before touching
         # the caches; whatever wait is left is overlap the step failed to
         # hide.  (sample() would collect defensively anyway — collecting
         # here attributes the wait to its own phase, not ``sample``.)
-        if self._collect_refreshes is not None:
-            with self._phase("refresh_overlap"):
-                self._collect_refreshes()
+        self._collect_pooled_refresh()
         with self._phase("sample"):
             negatives = (
                 self.sampler.sample(batch, rows)

@@ -58,12 +58,17 @@ class TestRegistry:
         for exp in EXPERIMENTS.values():
             assert exp.bench.startswith("benchmarks/bench_")
             assert (REPO_ROOT / exp.bench).is_file(), exp.bench
-        # ...and the other direction: every bench script the CI smoke job
-        # runs is registered.
+        # ...and the other direction: every bench script on disk, and so
+        # every one the CI smoke job runs, is registered.
+        registered = {exp.bench for exp in EXPERIMENTS.values()}
+        on_disk = {
+            path.relative_to(REPO_ROOT).as_posix()
+            for path in (REPO_ROOT / "benchmarks").glob("bench_*.py")
+        }
+        assert on_disk <= registered, sorted(on_disk - registered)
         ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
         smoked = set(re.findall(r"(benchmarks/bench_\w+\.py) --smoke", ci))
         assert smoked, "no bench-smoke steps found in ci.yml"
-        registered = {exp.bench for exp in EXPERIMENTS.values()}
         assert smoked <= registered, sorted(smoked - registered)
 
     def test_describe_renders(self):

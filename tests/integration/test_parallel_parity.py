@@ -332,8 +332,8 @@ class TestOverlapParity:
             assert stats["last_sync_bytes"] > 0
             # On this tiny KG one batch touches most of the entity table,
             # so the tracker rightly collapses to a full copy — the stat
-            # just has to be a sane fraction (bench X9 shows the delta
-            # win at scale, where batches touch a sliver of the table).
+            # just has to be a sane fraction (test_pool.py's TestDirtySync
+            # shows the delta win on a batch-realistic dirty set).
             assert 0.0 < stats["last_sync_dirty_fraction"] <= 1.0
         finally:
             trainer.close()

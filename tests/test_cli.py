@@ -67,7 +67,7 @@ class TestCommands:
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
         assert "Table IV" in out
-        assert "bucketed array cache" in out
+        assert "observability overhead" in out
 
     def test_train_profile(self, capsys):
         code = main(

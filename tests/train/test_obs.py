@@ -1,6 +1,7 @@
 """Trainer observability: registry wiring, run log, phase partitioning."""
 
 import threading
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -126,6 +127,61 @@ class TestNonFiniteCounter:
             "train_nonfinite_total", labels={"source": "refresh"}
         ) == 1
         assert registry.value("train_nonfinite_total", labels={"source": "loss"}) == 0
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
+    def test_non_finite_pooled_refresh_score_counted(
+        self, tiny_kg, monkeypatch, request, forked
+    ):
+        """A worker's non-finite score stops the run at collect as a
+        ``FloatingPointError``, is counted once, and the pool and cache
+        segments are still released."""
+        if not forked:
+            request.getfixturevalue("no_fork")
+        sampler = NSCachingSampler(
+            cache_size=4, candidate_size=4, n_shards=2, refresh_workers=2
+        )
+        registry = MetricsRegistry()
+        trainer = _trainer(tiny_kg, sampler=sampler, metrics=registry)
+
+        def poison(score):
+            def poisoned(*args):
+                out = score(*args)
+                out[0, 0] = np.nan
+                return out
+            return poisoned
+
+        if forked:
+            # Workers fork at pool start, so poison the class they inherit;
+            # the trainer itself never scores candidates on the pooled path.
+            model_type = type(trainer.model)
+            monkeypatch.setattr(
+                model_type, "score_candidates", poison(model_type.score_candidates)
+            )
+        else:
+            worker_model = sampler._ensure_pool()._state.model
+            monkeypatch.setattr(
+                worker_model, "score_candidates", poison(worker_model.score_candidates)
+            )
+        try:
+            with pytest.raises(FloatingPointError, match="refresh worker failed"):
+                trainer.run()
+            assert sampler._pool.using_processes is forked
+            blocks = [
+                *sampler._pool._param_blocks.values(),
+                *sampler.head_cache._blocks,
+                *sampler.tail_cache._blocks,
+            ]
+            names = [block._shm.name for block in blocks]
+            assert names
+        finally:
+            trainer.close()
+        assert registry.value(
+            "train_nonfinite_total", labels={"source": "refresh"}
+        ) == 1
+        assert registry.value("train_nonfinite_total", labels={"source": "loss"}) == 0
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
     def test_no_counter_without_registry(self, tiny_kg):
         trainer = _trainer(tiny_kg)
