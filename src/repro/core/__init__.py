@@ -22,7 +22,6 @@ from repro.core.strategies import (
     duplicate_mask,
     refresh_cache_rows,
     sample_from_cache,
-    select_cache_survivors,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "multiset_overlap_rows",
     "refresh_cache_rows",
     "sample_from_cache",
-    "select_cache_survivors",
 ]

@@ -55,7 +55,6 @@ __all__ = [
     "reusable_rows",
     "sample_from_cache",
     "score_and_select",
-    "select_cache_survivors",
 ]
 
 
@@ -286,50 +285,6 @@ def _select(
     return SurvivorSelection(
         ids[rows, top], scores[rows, top] if return_scores else None, top, filled
     )
-
-
-def select_cache_survivors(
-    candidate_ids: np.ndarray,
-    candidate_scores: np.ndarray,
-    n_keep: int,
-    strategy: UpdateStrategy,
-    rng: np.random.Generator | int | None = None,
-    *,
-    return_scores: bool = True,
-    return_selection: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None] | SurvivorSelection:
-    """Select ``n_keep`` entries per row from the Alg. 3 candidate union.
-
-    Returns ``(ids, scores)`` each of shape ``[B, n_keep]``.  Duplicate ids
-    within a row are suppressed before selection.  Importance selection is
-    sampling *without replacement* with probability ``softmax(score)``
-    (Eq. 6), realised as top-``n_keep`` of ``score + Gumbel noise``.
-
-    The refresh's selection split at its RNG boundary, run back to back:
-    after the candidates are checked (a NaN or infinite score raises
-    ``FloatingPointError`` before anything is drawn), one ``[B, n]``
-    block of uniforms is drawn from ``rng`` (none for top), and the
-    row-local rest builds the keys in that block.  The score gather is
-    skipped with ``return_scores=False`` (the caches only co-store scores
-    for the IS/top sampling strategies) — ``scores`` is then ``None``.
-    RNG consumption is identical either way, so toggling it cannot
-    perturb a seeded run.
-
-    With ``return_selection=True`` the result is a
-    :class:`SurvivorSelection` that additionally carries the selected
-    union columns and the duplicate-fill flags, the inputs of the
-    sort-free per-row CE hint (:meth:`SurvivorSelection.cached_overlap`).
-    """
-    rng = ensure_rng(rng)
-    ids, scores = _checked_candidates(candidate_ids, candidate_scores, n_keep)
-    strategy = UpdateStrategy(strategy)
-    selection = _select(
-        ids, scores, n_keep, strategy, _draw_noise(ids.shape, strategy, rng),
-        return_scores,
-    )
-    if return_selection:
-        return selection
-    return selection.ids, selection.scores
 
 
 def reusable_rows(

@@ -82,19 +82,23 @@ def rank_scores(
     """Average-tie ranks of ``scores[i, true_cols[i]]`` within each row.
 
     ``mask_cols[i]`` lists candidate columns to exclude (the filtered
-    setting); the true column is never excluded.
+    setting); the true column is never excluded.  The masks are written
+    in one flat fancy assignment, as in ``TopKScorer._extract``, and
+    ``scores`` is copied only when some mask is non-empty.
     """
     scores = np.asarray(scores, dtype=np.float64)
     b = len(scores)
     rows = np.arange(b)
     true_scores = scores[rows, true_cols].copy()
     if mask_cols is not None:
-        scores = scores.copy()
-        for i in range(b):
-            cols = mask_cols[i]
-            if len(cols):
-                scores[i, cols] = -np.inf
-        scores[rows, true_cols] = true_scores
+        lengths = [len(cols) for cols in mask_cols]
+        if any(lengths):
+            scores = scores.copy()
+            scores[
+                np.repeat(rows, lengths),
+                np.concatenate([cols for cols in mask_cols if len(cols)]),
+            ] = -np.inf
+            scores[rows, true_cols] = true_scores
     greater = np.sum(scores > true_scores[:, None], axis=1)
     ties = np.sum(scores == true_scores[:, None], axis=1) - 1  # exclude self
     return 1.0 + greater + 0.5 * ties

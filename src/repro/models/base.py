@@ -26,14 +26,17 @@ A model owns its parameter tables and exposes three things:
   :meth:`score_all_tails` / :meth:`score_all_heads` (the link-prediction
   evaluator and the serve path) feed contiguous entity ranges to the same
   kernel; the GEMM models (ComplEx, DistMult, RESCAL, HolE) override them
-  with one product against the entity table.
+  with one product against the entity table, and TransE scores each query
+  row against contiguous slices of the table with its candidate kernel's
+  ops (no gather).
 
-Both the row blocks of one candidate call and the entity ranges of one
+The row blocks of one candidate call, the entity ranges of one base
+``score_all_*`` call and the (row, range) items of one TransE
 ``score_all_*`` call are split between the calling thread and one helper
 thread (:func:`split_work`) when at least two CPUs are usable: numpy
 releases the GIL inside the gathers, ufuncs, sums and matmuls of every
-block.  Each thread has its own gather buffer and writes a disjoint slice
-of the output with the ops of the serial loop, so scores are
+block.  Each thread has its own buffer and writes a disjoint slice of
+the output with the ops of the serial loop, so scores are
 byte-identical either way.  A call made while another is in progress
 (inside a split, or from another thread) runs serially, and so does
 every call in a forked child.  The sequential NSCaching refresh splits

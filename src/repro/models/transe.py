@@ -4,6 +4,11 @@
 embedding sits at the head embedding translated by the relation vector.
 Entity embeddings are kept on the unit sphere after every update, as in the
 original implementation.
+
+Candidate scoring runs the shared row-blocked gather; scoring every
+entity (:meth:`TransE._score_all`) gathers nothing: each query row meets
+contiguous slices of the entity table through the same element-wise ops
+and norm, so the scores equal ``score_candidates`` byte for byte.
 """
 
 from __future__ import annotations
@@ -11,12 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.base import (
+    CANDIDATE_BLOCK_BYTES,
     KGEModel,
     residual_norm_scores,
     score_candidate_blocks,
+    split_work,
 )
 from repro.models.initializers import xavier_uniform
-from repro.models.norms import check_p, norm_backward, norm_forward
+from repro.models.norms import check_p, negated_norm_into, norm_backward, norm_forward
 from repro.models.params import GradientBag
 
 __all__ = ["TransE"]
@@ -52,20 +59,66 @@ class TransE(KGEModel):
         e = ent[h] + rel[r] - ent[t]
         return -norm_forward(e, self.p)
 
+    def _query(self, anchors: np.ndarray, r: np.ndarray, mode: str) -> np.ndarray:
+        """Per-row query: ``e = query - cand`` for tails, ``cand + query``
+        for heads."""
+        ent, rel = self.params["entity"], self.params["relation"]
+        if mode == "tail":
+            return ent[anchors] + rel[r]
+        return rel[r] - ent[anchors]
+
     def _score_candidates_impl(
         self, anchors: np.ndarray, r: np.ndarray, candidates: np.ndarray, mode: str
     ) -> np.ndarray:
         """Fused candidate kernel on the shared row-blocked gather: the
         per-row query is folded into each gathered block in place before
         the norm, so no ``[B, C, d]`` temporary is ever allocated."""
-        ent, rel = self.params["entity"], self.params["relation"]
-        if mode == "tail":
-            query = ent[anchors] + rel[r]  # e = query - cand
-        else:
-            query = rel[r] - ent[anchors]  # e = cand + query
         return score_candidate_blocks(
-            candidates, [(ent, query)], residual_norm_scores(mode, self.p)
+            candidates,
+            [(self.params["entity"], self._query(anchors, r, mode))],
+            residual_norm_scores(mode, self.p),
         )
+
+    def _score_all(self, anchors: np.ndarray, r: np.ndarray, mode: str) -> np.ndarray:
+        """All-entity scoring straight from the entity table.
+
+        Work items are (query row, entity range) pairs, range-major so one
+        table slice serves every row while cached.  A range holds one row's
+        candidate byte budget of entities (1,024 at d = 64; the last takes
+        the remainder).  Each item runs the candidate kernel's element-wise
+        op into a reused buffer and its norm into the output row, so every
+        score has the bytes :meth:`score_candidates` gives it.  Items are
+        split over the helper thread (:func:`split_work`) unless the whole
+        call fits one range.
+        """
+        anchors = np.asarray(anchors, dtype=np.int64)
+        r = np.asarray(r, dtype=np.int64)
+        b, n = len(anchors), self.n_entities
+        out = np.empty((b, n), dtype=np.float64)
+        ent = self.params["entity"]
+        query = self._query(anchors, r, mode)
+        width = max(1, CANDIDATE_BLOCK_BYTES // (self.dim * ent.itemsize))
+        n_ranges = max(1, n // width)
+        last = (n_ranges - 1) * width  # the last range: [last, n)
+
+        def score_items(first: int, stop_item: int) -> None:
+            buffer = np.empty((n - last, self.dim), dtype=ent.dtype)
+            for i in range(first, stop_item):
+                k, row = divmod(i, b)
+                start = k * width
+                stop = n if k == n_ranges - 1 else start + width
+                e = buffer[: stop - start]
+                if mode == "tail":
+                    np.subtract(query[row], ent[start:stop], out=e)
+                else:
+                    np.add(ent[start:stop], query[row], out=e)
+                negated_norm_into(e, self.p, out[row, start:stop])
+
+        if b * n <= width:
+            score_items(0, b * n_ranges)
+        else:
+            split_work(b * n_ranges, score_items)
+        return out
 
     # -- backward ------------------------------------------------------------
     def grad(

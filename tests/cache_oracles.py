@@ -10,7 +10,9 @@ is pinned bit-identical to it under a seed:
 * :class:`HashedNegativeCache` — the same dict over §VI hash buckets,
   through the scalar :func:`stable_key_hash` (↔ ``n_buckets=``);
 * :class:`UnfusedRefreshSampler` — the step-by-step concatenate → score
-  → select → scatter Alg. 3 refresh (↔ the fused refresh).
+  → select → scatter Alg. 3 refresh (↔ the fused refresh), selecting
+  through :func:`select_cache_survivors`, the refresh's draw and
+  row-local selection run back to back on one candidate union.
 
 :class:`OracleCacheSampler` runs NSCaching on a dict oracle: it swaps
 the caches after ``bind()`` and before any draw, and the oracle shares
@@ -22,12 +24,62 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.nscaching import NSCachingSampler
-from repro.core.strategies import select_cache_survivors
+from repro.core.strategies import (
+    SurvivorSelection,
+    UpdateStrategy,
+    _checked_candidates,
+    _draw_noise,
+    _select,
+)
 from repro.data.keyindex import BucketIndex, KeyIndex
 from repro.data.triples import HEAD, REL, TAIL
 from repro.utils.rng import ensure_rng
 
 Key = tuple[int, int]
+
+
+def select_cache_survivors(
+    candidate_ids: np.ndarray,
+    candidate_scores: np.ndarray,
+    n_keep: int,
+    strategy: UpdateStrategy,
+    rng: np.random.Generator | int | None = None,
+    *,
+    return_scores: bool = True,
+    return_selection: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None] | SurvivorSelection:
+    """Select ``n_keep`` entries per row from the Alg. 3 candidate union.
+
+    Returns ``(ids, scores)`` each of shape ``[B, n_keep]``.  Duplicate ids
+    within a row are suppressed before selection.  Importance selection is
+    sampling *without replacement* with probability ``softmax(score)``
+    (Eq. 6), realised as top-``n_keep`` of ``score + Gumbel noise``.
+
+    The refresh's selection split at its RNG boundary, run back to back:
+    after the candidates are checked (a NaN or infinite score raises
+    ``FloatingPointError`` before anything is drawn), one ``[B, n]``
+    block of uniforms is drawn from ``rng`` (none for top), and the
+    row-local rest builds the keys in that block.  The score gather is
+    skipped with ``return_scores=False`` (the caches only co-store scores
+    for the IS/top sampling strategies) — ``scores`` is then ``None``.
+    RNG consumption is identical either way, so toggling it cannot
+    perturb a seeded run.
+
+    With ``return_selection=True`` the result is a
+    :class:`SurvivorSelection` that additionally carries the selected
+    union columns and the duplicate-fill flags, the inputs of the
+    sort-free per-row CE hint (:meth:`SurvivorSelection.cached_overlap`).
+    """
+    rng = ensure_rng(rng)
+    ids, scores = _checked_candidates(candidate_ids, candidate_scores, n_keep)
+    strategy = UpdateStrategy(strategy)
+    selection = _select(
+        ids, scores, n_keep, strategy, _draw_noise(ids.shape, strategy, rng),
+        return_scores,
+    )
+    if return_selection:
+        return selection
+    return selection.ids, selection.scores
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

@@ -11,10 +11,9 @@ from repro.core.strategies import (
     UpdateStrategy,
     duplicate_mask,
     sample_from_cache,
-    select_cache_survivors,
 )
 
-from cache_oracles import _multiset_overlap
+from cache_oracles import _multiset_overlap, select_cache_survivors
 
 
 class TestDuplicateMask:

@@ -41,6 +41,54 @@ class TestRankScores:
         rank = rank_scores(scores, np.array([0]), [np.array([0, 1])])[0]
         assert rank == 1.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_flat_mask_write_matches_per_row_loop(self, seed):
+        """The one fancy assignment gives the ranks of the per-row loop,
+        with empty masks, masks holding the true column, and repeated
+        columns, on scores with ties."""
+        rng = np.random.default_rng(seed)
+        b, n = 40, 30
+        scores = rng.integers(0, 8, (b, n)).astype(np.float64)  # many ties
+        true_cols = rng.integers(0, n, b)
+        masks = []
+        for i in range(b):
+            kind = i % 4
+            if kind == 0:
+                masks.append(np.empty(0, dtype=np.int64))
+            elif kind == 1:
+                masks.append(np.append(rng.integers(0, n, 5), true_cols[i]))
+            elif kind == 2:
+                masks.append(np.repeat(rng.integers(0, n, 3), 3))
+            else:
+                masks.append(rng.choice(n, 10, replace=False))
+        before = scores.copy()
+        got = rank_scores(scores, true_cols, masks)
+        assert got.tobytes() == _looped_rank_scores(scores, true_cols, masks).tobytes()
+        assert scores.tobytes() == before.tobytes()  # the input is not written
+
+    def test_all_empty_masks_rank_as_unfiltered(self, rng):
+        scores = rng.normal(size=(6, 9))
+        true_cols = rng.integers(0, 9, 6)
+        empty = [np.empty(0, dtype=np.int64)] * 6
+        got = rank_scores(scores, true_cols, empty)
+        assert got.tobytes() == rank_scores(scores, true_cols, None).tobytes()
+        assert got.tobytes() == _looped_rank_scores(scores, true_cols, empty).tobytes()
+
+
+def _looped_rank_scores(scores, true_cols, mask_cols):
+    """The per-row mask loop ``rank_scores`` used to run: the oracle for
+    its one flat assignment."""
+    rows = np.arange(len(scores))
+    true_scores = scores[rows, true_cols].copy()
+    scores = scores.copy()
+    for i, cols in enumerate(mask_cols):
+        if len(cols):
+            scores[i, cols] = -np.inf
+    scores[rows, true_cols] = true_scores
+    greater = np.sum(scores > true_scores[:, None], axis=1)
+    ties = np.sum(scores == true_scores[:, None], axis=1) - 1
+    return 1.0 + greater + 0.5 * ties
+
 
 class TestRankingResult:
     def test_metrics_from_known_ranks(self):

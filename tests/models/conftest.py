@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.models.base as base
 from repro.models import MODEL_REGISTRY
 
 from conformance_fixtures import (
@@ -24,6 +25,17 @@ from conformance_fixtures import (
 def conformance_model(request):
     """One registry model per parametrised run, freshly built and seeded."""
     return build_conformance_model(request.param)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Returns a setter that forces the kernels' two-thread split
+    (``models.base.split_work``) on or off for this test."""
+
+    def force(on):
+        monkeypatch.setattr(base, "_split", on)
+
+    return force
 
 
 @pytest.fixture

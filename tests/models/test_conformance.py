@@ -22,7 +22,8 @@ is caught by construction:
   block boundary;
 * entity-blocked ``score_all_*``: chunk-independent, byte-identical to
   ``score_candidates`` over all entities (and, for TransE and RotatE, to
-  the old broadcast path) on both sides of every entity-range boundary,
+  the old broadcast path) on both sides of every entity-range boundary
+  (TransE's own one-row ranges included, with the split on and off),
   with temporaries bounded by the candidate byte budget.
 
 Every test runs for every entry in ``MODEL_REGISTRY`` via the
@@ -34,6 +35,7 @@ import pytest
 
 from repro.models import MODEL_REGISTRY, make_model
 from repro.models.base import (
+    CANDIDATE_BLOCK_BYTES,
     CANDIDATE_MODES,
     KGEModel,
     candidate_block_rows,
@@ -410,6 +412,33 @@ class TestEntityBlockedScoreAll:
             got = _score_all(model, anchors, r, mode)
             expected = UNBLOCKED_SCORE_ALL[name](model, anchors, r, mode)
             assert got.tobytes() == expected.tobytes(), f"E={n}"
+
+
+#: TransE's own ``score_all_*`` ranges: one query row's candidate byte
+#: budget of entities, whatever B is.
+TRANSE_RANGE_WIDTH = CANDIDATE_BLOCK_BYTES // (SCORE_ALL_DIM * 8)
+
+
+@pytest.mark.parametrize("split_on", [False, True], ids=["serial", "split"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("b", [1, 2, 17, 130])
+def test_transe_score_all_at_its_range_boundaries(split, split_on, b, p, mode, rng):
+    """TransE scores every entity from the table in (row, range) items:
+    on both sides of one and two of its own ranges, with the split on and
+    off, the bytes equal ``score_candidates`` over all entities and the
+    broadcast oracle."""
+    split(split_on)
+    w = TRANSE_RANGE_WIDTH
+    for n in (w - 1, w, w + 1, 2 * w + 3):
+        model = make_model("TransE", n, CONF_N_RELATIONS, SCORE_ALL_DIM, rng=5, p=p)
+        anchors, r = _queries(rng, b, n)
+        got = _score_all(model, anchors, r, mode)
+        everyone = np.broadcast_to(np.arange(n), (b, n))
+        expected = model.score_candidates(anchors, r, everyone, mode)
+        assert got.tobytes() == expected.tobytes(), f"E={n}"
+        oracle = UNBLOCKED_SCORE_ALL["TransE"](model, anchors, r, mode)
+        assert got.tobytes() == oracle.tobytes(), f"E={n}"
 
 
 @pytest.mark.parametrize("mode", MODES)

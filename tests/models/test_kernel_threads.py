@@ -50,16 +50,6 @@ def _helper_threads():
     return [t for t in threading.enumerate() if t.name.startswith("repro-kernel")]
 
 
-@pytest.fixture
-def split(monkeypatch):
-    """Returns a setter that forces the split on or off for this test."""
-
-    def force(on):
-        monkeypatch.setattr(base, "_split", on)
-
-    return force
-
-
 def _both_ways(split, score):
     split(False)
     serial = score()
